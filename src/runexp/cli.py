@@ -7,7 +7,7 @@ table against embedded reference values), certify-lower-bound (exact
 rational check that sigma/n beats the target on a family word power).
 
 Exit codes: 0 all good, 1 a verification or comparison failed,
-2 usage or I/O problems.
+2 usage or I/O problems, or out of memory.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .runs import (
     find_runs,
     find_runs_bruteforce,
     fraction_to_decimal,
-    run_listing_lines,
     run_stats,
+    write_run_listing,
 )
 from .words import Word, power, read_word_file, word_from_text
 
@@ -266,9 +266,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         emit_csv(["word", *cells.keys()], [[label, *cells.values()]], out)
     if args.runs:
         out.write("\n")
-        for line in run_listing_lines(runs):
-            out.write(line)
-            out.write("\n")
+        write_run_listing(runs, out)
     return 0
 
 
@@ -277,13 +275,9 @@ def cmd_runs(args: argparse.Namespace) -> int:
     runs = find_runs(word)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
-            for line in run_listing_lines(runs):
-                fh.write(line)
-                fh.write("\n")
+            write_run_listing(runs, fh)
     else:
-        for line in run_listing_lines(runs):
-            sys.stdout.write(line)
-            sys.stdout.write("\n")
+        write_run_listing(runs, sys.stdout)
     return 0
 
 
@@ -483,6 +477,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine", file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "MAIN_FAMILY_LENGTHS",
     "MAIN_FAMILY_REFERENCE",
     "EXTERNAL_FAMILY_REFERENCE",
-    "main_family_row",
 ]
 
 
@@ -72,9 +71,3 @@ EXTERNAL_FAMILY_REFERENCE: dict[str, tuple[ReferenceRow, ...]] = {
         ReferenceRow(40, 999652, "0.9445", "1996544.30", "1.9972"),
     ),
 }
-
-
-def main_family_row(i: int) -> ReferenceRow:
-    if not 1 <= i <= len(MAIN_FAMILY_REFERENCE):
-        raise ValueError(f"no reference row for index {i}")
-    return MAIN_FAMILY_REFERENCE[i - 1]

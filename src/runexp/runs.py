@@ -2,9 +2,17 @@
 
 A run is an interval whose factor has shortest period p with 2p <= length
 and that cannot be extended in either direction without breaking the
-period. The fast engine finds candidate periods through longest-Lyndon
-prefixes (computed for the normal and the reversed symbol order) and
-extends each candidate with longest-common-extension queries; the
+period. The fast engine follows the Runs Theorem (Bannai et al., SIAM J.
+Comput. 2017, Lemma 3.3): a run's Lyndon roots, in the letter order in
+which the letter right after the run is smaller than the one p places
+before it, are longest-Lyndon prefixes. Order 0 is the given letter
+order with the end of the word lowest, and also serves runs that end
+the word; order 1 is the reversed letter order with the end of the word
+highest, which reverses every suffix comparison. Both Lyndon arrays
+therefore come from one suffix array, and a second one, of the reversed
+word, answers the left-extension queries. Each run is reported exactly
+once, from its leftmost root (left extension < p) in its own order, so
+no dedup pass is needed; a repeated interval is an internal error. The
 brute-force engine applies the definition to every interval and serves
 as an independent oracle.
 """
@@ -41,8 +49,6 @@ __all__ = [
 SMALL_ENGINE_LIMIT = 256
 
 BRUTE_FORCE_CAP = 2000
-
-_FLIP = bytes(255 - b for b in range(256))
 
 
 class Run(NamedTuple):
@@ -150,14 +156,14 @@ def _suffix_array_doubling(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.asarray(codes, dtype=np.int32)
     k = 1
     while True:
-        second = np.full(n, -1, dtype=np.int32)
-        second[: n - k] = rank[k:]
-        order = np.lexsort((second, rank))
-        r_ord = rank[order]
-        s_ord = second[order]
+        # Sort on one packed key: rank, then the rank k places on (0 past the end).
+        key = rank.astype(np.int64) * (int(rank.max()) + 2)
+        key[: n - k] += rank[k:] + 1
+        order = np.argsort(key, kind="stable")
+        key = key[order]
         bump = np.empty(n, dtype=np.int32)
         bump[0] = 0
-        bump[1:] = (r_ord[1:] != r_ord[:-1]) | (s_ord[1:] != s_ord[:-1])
+        bump[1:] = key[1:] != key[:-1]
         new_rank = np.empty(n, dtype=np.int32)
         new_rank[order] = np.cumsum(bump, dtype=np.int32)
         rank = new_rank
@@ -192,10 +198,15 @@ def _kasai_lcp(data: bytes, sa, isa) -> array:
 
 
 def _lyndon_lengths(rank) -> array:
-    """Length of the longest Lyndon prefix at each position.
+    """Distance from each position to the next suffix that ranks lower.
 
-    Equals the distance to the next suffix that ranks lower (next
-    smaller value over the inverse suffix array).
+    Over the inverse suffix array (end of word lowest) this is the
+    length of the longest Lyndon prefix at each position in letter
+    order 0. Over the reversed ranks, n - 1 - rank, it is the next
+    *greater* suffix, which gives order 1: reversed letters with the end
+    of the word highest. There the value is the longest Lyndon prefix
+    wherever the comparison is settled before the end of the word, which
+    holds at the roots of every run that order is asked for.
     """
     n = len(rank)
     lam = array("i", bytes(4 * n))
@@ -240,67 +251,69 @@ def _batched_range_min(values: np.ndarray, left: np.ndarray, right: np.ndarray) 
     return out
 
 
-def _candidate_rows(n: int, lam: array, isa_f: np.ndarray, lcp_f: np.ndarray,
-                    isa_b: np.ndarray, lcp_b: np.ndarray) -> np.ndarray:
-    """Extend every Lyndon-prefix candidate and keep those reaching 2p."""
-    idx = np.arange(n, dtype=np.int64)
+def _runs_of_order(codes: np.ndarray, lam: array, order: int, isa_f: np.ndarray,
+                    lcp_f: np.ndarray, isa_b: np.ndarray, lcp_b: np.ndarray):
+    """Runs whose leftmost Lyndon root in letter order ``order`` is found by ``lam``.
+
+    Returns 0-based (start, end, period) columns.
+    """
+    n = int(codes.size)
+    a = np.arange(n, dtype=np.int64)
     p = np.frombuffer(lam, dtype=np.int32).astype(np.int64)
+    q = a + p
+    # A root left-extended by fewer than p letters reaches 2p only if the
+    # letter after it repeats its first letter.
+    sel = q < n
+    sel[sel] = codes[a[sel]] == codes[q[sel]]
+    a, p, q = a[sel], p[sel], q[sel]
 
-    r_ext = np.zeros(n, dtype=np.int64)
-    sel = idx + p < n
-    a = isa_f[idx[sel]].astype(np.int64)
-    b = isa_f[(idx + p)[sel]].astype(np.int64)
-    r_ext[sel] = _batched_range_min(lcp_f, np.minimum(a, b) + 1, np.maximum(a, b))
+    x = isa_f[a]
+    y = isa_f[q]
+    e = q + _batched_range_min(lcp_f, np.minimum(x, y) + 1, np.maximum(x, y))
+    # The end of the word ranks lowest, so a run ending the word is order 0.
+    padded = np.append(codes, 0)
+    sel = (padded[e] > padded[e - p]) == bool(order)
+    a, p, e = a[sel], p[sel], e[sel]
 
-    l_ext = np.zeros(n, dtype=np.int64)
-    sel2 = idx >= 1
-    ar = (n - idx)[sel2]
-    br = ar - p[sel2]
-    a2 = isa_b[ar].astype(np.int64)
-    b2 = isa_b[br].astype(np.int64)
-    l_ext[sel2] = _batched_range_min(lcp_b, np.minimum(a2, b2) + 1, np.maximum(a2, b2))
+    l_ext = np.zeros(a.size, dtype=np.int64)
+    sel = a >= 1
+    ar = n - a[sel]
+    x = isa_b[ar]
+    y = isa_b[ar - p[sel]]
+    l_ext[sel] = _batched_range_min(lcp_b, np.minimum(x, y) + 1, np.maximum(x, y))
 
-    total = p + l_ext + r_ext
-    keep = total >= 2 * p
-    b0 = idx[keep] - l_ext[keep]
-    e0 = b0 + total[keep] - 1
-    return np.stack([b0, e0, p[keep]], axis=1)
+    keep = (l_ext < p) & (l_ext + e - a >= 2 * p)
+    return a[keep] - l_ext[keep], e[keep] - 1, p[keep]
 
 
-def _runs_arrays(data: bytes) -> np.ndarray:
-    """All runs of ``data`` as 0-based (start, end, period) rows, sorted."""
+def _sorted_runs(n: int, starts: np.ndarray, ends: np.ndarray, periods: np.ndarray):
+    """Sort 0-based run columns by (start, end); raise if an interval repeats."""
+    key = starts * (n + 1) + ends
+    order = np.argsort(key)
+    key = key[order]
+    if bool((key[1:] == key[:-1]).any()):
+        raise RuntimeError("internal error: one interval reported twice")
+    return starts[order], ends[order], periods[order]
+
+
+def _runs_arrays(data: bytes):
+    """All runs of ``data`` as sorted 0-based (start, end, period) columns."""
     n = len(data)
     codes = np.frombuffer(data, dtype=np.uint8)
 
     sa_f, isa_f = _suffix_array_doubling(codes)
-    _, isa_flip = _suffix_array_doubling(255 - codes.astype(np.int32))
-    rdata = data[::-1]
     sa_b, isa_b = _suffix_array_doubling(codes[::-1])
 
-    sa_f_fast = _to_intarray(sa_f)
     isa_f_fast = _to_intarray(isa_f)
-    sa_b_fast = _to_intarray(sa_b)
-    isa_b_fast = _to_intarray(isa_b)
-
-    lcp_f = np.frombuffer(_kasai_lcp(data, sa_f_fast, isa_f_fast), dtype=np.int32).astype(np.int64)
-    lcp_b = np.frombuffer(_kasai_lcp(rdata, sa_b_fast, isa_b_fast), dtype=np.int32).astype(np.int64)
-
-    lam0 = _lyndon_lengths(isa_f_fast)
-    lam1 = _lyndon_lengths(_to_intarray(isa_flip))
-
-    rows = np.concatenate(
-        [
-            _candidate_rows(n, lam0, isa_f, lcp_f, isa_b, lcp_b),
-            _candidate_rows(n, lam1, isa_f, lcp_f, isa_b, lcp_b),
-        ],
-        axis=0,
+    lcp_f = np.frombuffer(_kasai_lcp(data, _to_intarray(sa_f), isa_f_fast), dtype=np.int32)
+    lcp_b = np.frombuffer(
+        _kasai_lcp(data[::-1], _to_intarray(sa_b), _to_intarray(isa_b)), dtype=np.int32
     )
-    uniq = np.unique(rows, axis=0)
-    if uniq.shape[0] > 1:
-        dup = (uniq[1:, 0] == uniq[:-1, 0]) & (uniq[1:, 1] == uniq[:-1, 1])
-        if dup.any():
-            raise RuntimeError("internal error: one interval reported with two periods")
-    return uniq
+
+    lams = (_lyndon_lengths(isa_f_fast), _lyndon_lengths(_to_intarray((n - 1) - isa_f)))
+    cols = [_runs_of_order(codes, lam, order, isa_f, lcp_f, isa_b, lcp_b)
+            for order, lam in enumerate(lams)]
+    return _sorted_runs(n, *(np.concatenate(c) for c in zip(*cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +329,28 @@ def _suffix_ranks_small(data: bytes) -> list[int]:
     return isa
 
 
-def _runs_python(data: bytes) -> set[tuple[int, int, int]]:
+def _runs_python(data: bytes):
+    """Same rule as the arrays engine, with direct letter comparisons."""
     n = len(data)
-    found: set[tuple[int, int, int]] = set()
-    if n < 2:
-        return found
-    for src in (data, data.translate(_FLIP)):
-        lam = _lyndon_lengths(_suffix_ranks_small(src))
+    isa = _suffix_ranks_small(data)
+    found: list[tuple[int, int, int]] = []
+    for order, lam in enumerate((_lyndon_lengths(isa), _lyndon_lengths([n - 1 - r for r in isa]))):
         for i in range(n):
             p = lam[i]
             q = i + p
             r = 0
             while q + r < n and data[i + r] == data[q + r]:
                 r += 1
+            e = q + r
+            if r == 0 or (e < n and data[e] > data[e - p]) != order:
+                continue
             l = 0
-            while l < i and data[i - 1 - l] == data[i + p - 1 - l]:
+            while l < i and l < p and data[i - 1 - l] == data[q - 1 - l]:
                 l += 1
-            if l + r >= p:
-                found.add((i - l, i + p + r - 1, p))
-    return found
+            if l < p and l + r >= p:
+                found.append((i - l, e - 1, p))
+    cols = np.array(found, dtype=np.int64).reshape(len(found), 3).T
+    return _sorted_runs(n, *cols)
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +370,12 @@ def find_runs(w: Word, *, engine: str = "auto") -> RunSet:
     if engine == "auto":
         engine = "python" if n < SMALL_ENGINE_LIMIT else "arrays"
     if engine == "python":
-        triples = sorted(_runs_python(data))
-        seen_intervals = {(b, e) for b, e, _ in triples}
-        if len(seen_intervals) != len(triples):
-            raise RuntimeError("internal error: one interval reported with two periods")
-        rows = np.array(triples, dtype=np.int64).reshape(len(triples), 3)
+        starts, ends, periods = _runs_python(data)
     elif engine == "arrays":
-        rows = _runs_arrays(data)
+        starts, ends, periods = _runs_arrays(data)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    if rows.shape[0] == 0:
-        return RunSet.from_runs([])
-    return RunSet(rows[:, 0] + 1, rows[:, 1] + 1, rows[:, 2].copy())
+    return RunSet(starts + 1, ends + 1, periods)
 
 
 def find_runs_bruteforce(w: Word, *, cap: int = BRUTE_FORCE_CAP) -> RunSet:

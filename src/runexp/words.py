@@ -6,7 +6,7 @@ between threads or processes. Positions in diagnostics are 1-based.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "Word",
@@ -72,11 +72,6 @@ class Word:
     @property
     def text(self) -> str:
         return self.data.decode("ascii")
-
-    @property
-    def letters(self) -> str:
-        """The letter sequence as a plain string."""
-        return self.text
 
     def factor(self, i: int, j: int) -> "Word":
         """Return the factor at 1-based inclusive positions ``i..j``."""
@@ -272,7 +267,3 @@ def parse_morphism_rules(lines: Iterable[str], *, origin: str = "<input>") -> Mo
 def load_morphism_file(path) -> Morphism:
     with open(path, "r", encoding="ascii") as f:
         return parse_morphism_rules(f, origin=str(path))
-
-
-def _iter_letters(w: Word) -> Iterator[str]:
-    return iter(w.text)

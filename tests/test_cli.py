@@ -106,6 +106,16 @@ class TestAnalyze:
         assert code == 2
         assert "--large" in err
 
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def exhausted(word):
+            raise MemoryError
+
+        monkeypatch.setattr("runexp.cli.find_runs", exhausted)
+        code, out, err = run_cli(capsys, "analyze", "aabaabaa")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory")
+
 
 class TestGenerateAndRuns:
     def test_generate_stdout(self, capsys):

@@ -1,11 +1,15 @@
 """Run enumeration: engines vs the definition oracle, stats, rendering."""
 
 import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from runexp import runs as runs_module
+from runexp.families import run_rich_word
 from runexp.runs import (
     Run,
     RunSet,
@@ -103,6 +107,53 @@ class TestEngineAgreement:
     def test_arrays_path_is_the_default_above_the_cutoff(self, text):
         word = w(text, "ab")
         assert find_runs(word).as_triples() == find_runs_bruteforce(word).as_triples()
+
+
+class TestDuplicateCheck:
+    @pytest.mark.parametrize("engine", ["python", "arrays"])
+    def test_repeated_interval_raises(self, monkeypatch, engine):
+        sort = runs_module._sorted_runs
+
+        def doubled(n, starts, ends, periods):
+            return sort(n, *(np.concatenate([c, c]) for c in (starts, ends, periods)))
+
+        monkeypatch.setattr(runs_module, "_sorted_runs", doubled)
+        with pytest.raises(RuntimeError, match="twice"):
+            find_runs(w("aabaabaa"), engine=engine)
+
+
+class TestAboveOracleCap:
+    """Metamorphic checks on family member 7 (n = 95,567), far above the oracle cap."""
+
+    @pytest.fixture(scope="class")
+    def member(self):
+        word = run_rich_word(7)
+        return word, find_runs(word)
+
+    def test_reversal_mirrors_runs(self, member):
+        word, runs = member
+        n = len(word)
+        mirrored = find_runs(word_from_text(word.text[::-1], word.alphabet))
+        assert mirrored == RunSet.from_runs((n + 1 - j, n + 1 - i, p) for i, j, p in runs)
+
+    def test_letter_swap_keeps_runs(self, member):
+        # Swapping the two letters swaps the two Lyndon orders.
+        word, runs = member
+        assert word.alphabet == {"0", "1"}
+        swapped = word_from_text(word.text.translate(str.maketrans("01", "10")), word.alphabet)
+        assert find_runs(swapped) == runs
+
+    def test_seeded_sample_validates(self, member):
+        word, runs = member
+        for k in random.Random(7).sample(range(len(runs)), 500):
+            validate_run(word, runs[k])
+
+    def test_engines_agree_on_long_random_words(self):
+        rng = random.Random(11)
+        for _ in range(12):
+            alphabet = "abcd"[: rng.randint(1, 4)]
+            word = w("".join(rng.choices(alphabet, k=rng.randint(256, 3000))), "abcd")
+            assert find_runs(word, engine="python") == find_runs(word, engine="arrays")
 
 
 class TestRunSetInvariants:
