@@ -19,6 +19,7 @@ from .runs import (
     run_stats,
     sigma_as_decimal,
     validate_run,
+    validate_runs,
 )
 from .words import (
     Morphism,
@@ -63,6 +64,7 @@ __all__ = [
     "shortest_period",
     "sigma_as_decimal",
     "validate_run",
+    "validate_runs",
     "verify_handle_properties",
     "word_from_text",
     "write_word_file",

@@ -1,22 +1,31 @@
 """Handle sets: disjoint inter-position certificates attached to runs.
 
 Each run v = [i..j] with period p owns a set H(v) of inter-positions
-(slot k sits between letters k and k+1). Let w be the leading block
-u[i..i+p-1]. When the minimal and maximal rotations of w coincide
-(single-letter block), H(v) is every inter-position inside v. Otherwise
-H(v) collects the boundary slot between each pair of adjacent
-occurrences of the minimal rotation inside v, and likewise for the
-maximal rotation. Distinct runs get disjoint handle sets, so handle
-mass is capped by the n-1 available slots; the report checks that cap,
-the per-run size bounds, and the case dichotomy.
+(slot k sits between letters k and k+1): the slot just before every
+occurrence inside v, except the first, of the minimal and of the
+maximal rotation of the leading block u[i..i+p-1]. When the two
+coincide (single-letter block) that is every inter-position inside v.
+Distinct runs get disjoint handle sets, so handle mass is capped by the
+n-1 available slots; the report checks that cap, the per-run size
+bounds, and the case dichotomy.
+
+The suite starts from each run's Lyndon roots lo and hi, the 0-based starts
+of the two rotations in its first period. Suffixes starting there keep more
+than p letters of the run and rotations of a primitive block differ within p
+letters, so lo and hi are the argmin and argmax of the inverse suffix array
+over the first period. By Fine-Wilf the rotations recur in the run only every
+p letters: H(v) is x + m*p, m >= 1, for x in {lo, hi}, while inside the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import runs as _runs
 from .periods import rotation_extremes
-from .runs import Run, RunSet, find_runs, validate_run
+from .runs import Run, RunSet, find_runs, validate_run, validate_runs
 from .words import Word
 
 __all__ = ["HandleSet", "HandleReport", "handles_of_run", "verify_handle_properties"]
@@ -131,12 +140,15 @@ def handles_of_run(w: Word, v: Run) -> HandleSet:
     return HandleSet(owner=v, positions=tuple(sorted(slots)), case="b")
 
 
-def _size_bounds_ok(v: Run, size: int) -> bool:
-    if v.p == 1:
-        return v.length == size + 1
-    ceil_e = -(-v.length // v.p)
-    floor_e = v.length // v.p
-    return 2 * ceil_e <= size + 6 and size >= 2 * (floor_e - 2)
+def _lyndon_roots(data: bytes, a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based starts of the least and greatest suffixes starting in each [a, a+p)."""
+    if len(data) < _runs.SMALL_ENGINE_LIMIT:
+        isa = _runs._suffix_ranks_small(data)
+        firsts = [range(x, x + q) for x, q in zip(a.tolist(), p.tolist())]
+        return tuple(np.array([pick(f, key=isa.__getitem__) for f in firsts], dtype=np.int64)
+                     for pick in (min, max))
+    sa, isa = _runs._suffix_array_doubling(np.frombuffer(data, dtype=np.uint8))
+    return tuple(sa[s * _runs._batched_range_min(s * isa, a, a + p - 1)] for s in (1, -1))
 
 
 def verify_handle_properties(w: Word, runs: RunSet | None = None) -> HandleReport:
@@ -144,29 +156,35 @@ def verify_handle_properties(w: Word, runs: RunSet | None = None) -> HandleRepor
 
     Verdicts are collected, not raised: disjointness of all handle
     sets, case (a) exactly for period-1 runs, the per-run size bounds,
-    and A + B <= n - 1. ``runs`` defaults to find_runs(w).
+    and A + B <= n - 1. ``runs`` defaults to find_runs(w) and is validated first.
     """
     if runs is None:
         runs = find_runs(w)
-    handles = [handles_of_run(w, v) for v in runs]
-    a_mass = 0
-    b_mass = 0
-    total = 0
-    seen: set[int] = set()
-    for h in handles:
-        if h.owner.p == 1:
-            a_mass += h.size
-        else:
-            b_mass += h.size
-        total += h.size
-        seen.update(h.positions)
+    validate_runs(w, runs)
+    n = len(w)
+    a, e, p = runs.starts - 1, runs.ends, runs.periods
+    lo, hi = _lyndon_roots(w.data, a, p)
+    case_a, unary = lo == hi, p == 1
+    # Root x gets the slots x + m*p, m >= 1, with x + m*p + p <= e; case (a) has one root.
+    counts = np.concatenate([(e - lo) // p - 1, np.where(case_a, 0, (e - hi) // p - 1)])
+    sizes = counts[: p.size] + counts[p.size :]
+    # More than n - 1 slots cannot be distinct; below that, count each slot's owners.
+    disjoint = int(counts.sum()) <= max(n - 1, 0)
+    if disjoint:
+        owner = np.repeat(np.arange(counts.size), counts)
+        m = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner] + 1
+        slots = np.concatenate([lo, hi])[owner] + m * p[owner % p.size]
+        disjoint = bool((np.bincount(slots) <= 1).all())
+    length = e - a
+    bounds_ok = np.where(unary, length == sizes + 1,
+                         (2 * -(-length // p) <= sizes + 6) & (sizes >= 2 * (length // p - 2)))
     return HandleReport(
-        n=len(w),
-        runs=tuple(h.owner for h in handles),
-        handle_sizes=tuple(h.size for h in handles),
-        A=a_mass,
-        B=b_mass,
-        disjoint=len(seen) == total,
-        size_bounds_ok=tuple(_size_bounds_ok(h.owner, h.size) for h in handles),
-        case_a_iff_p1=all((h.case == "a") == (h.owner.p == 1) for h in handles),
+        n=n,
+        runs=tuple(runs),
+        handle_sizes=tuple(sizes.tolist()),
+        A=int(sizes[unary].sum()),
+        B=int(sizes[~unary].sum()),
+        disjoint=disjoint,
+        size_bounds_ok=tuple(bounds_ok.tolist()),
+        case_a_iff_p1=bool((case_a == unary).all()),
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "sigma_as_decimal",
     "fraction_to_decimal",
     "validate_run",
+    "validate_runs",
     "run_listing_lines",
     "write_run_listing",
 ]
@@ -413,26 +415,52 @@ def find_runs_bruteforce(w: Word, *, cap: int = BRUTE_FORCE_CAP) -> RunSet:
     return RunSet.from_runs((b + 1, e + 1, p) for b, e, p in found)
 
 
-def validate_run(w: Word, run: Run) -> None:
-    """Re-check the four run invariants against ``w``; raise on failure.
+def _has_period(data: bytes, a: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether data[a:e] has period q, row by row, one bytes comparison each."""
+    rows = zip(a.tolist(), e.tolist(), q.tolist())
+    return np.array([data[x : y - d] == data[x + d : y] for x, y, d in rows], dtype=bool)
 
-    Uses the border-table period, independent of the enumeration engine.
+
+def validate_runs(w: Word, runs: RunSet) -> None:
+    """Re-check the four run invariants of every run against ``w``; raise on failure.
+
+    As 2p <= length, any shorter period divides p (Fine-Wilf), so p is
+    shortest iff no p/r, r a prime factor of p, is a period of the first
+    p letters. The first run found breaking an invariant is named.
     """
-    n = len(w)
-    i, j, p = run
-    if not (1 <= i <= j <= n):
-        raise ValueError(f"run interval [{i}..{j}] out of range for n={n}")
-    length = j - i + 1
-    if 2 * p > length:
-        raise ValueError(f"run [{i}..{j}] with p={p} violates 2p <= length")
-    true_p = _periods.shortest_period(w.factor(i, j))
-    if true_p != p:
-        raise ValueError(f"run [{i}..{j}] claims period {p} but the factor has period {true_p}")
-    data = w.data
-    if i > 1 and data[i - 2] == data[i + p - 2]:
-        raise ValueError(f"run [{i}..{j}] is not left-maximal")
-    if j < n and data[j - p] == data[j]:
-        raise ValueError(f"run [{i}..{j}] is not right-maximal")
+    data, n = w.data, len(w)
+    codes = np.frombuffer(data, dtype=np.uint8)
+    a, e, p = runs.starts - 1, runs.ends, runs.periods
+
+    def require(ok: np.ndarray, message) -> None:
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise ValueError(message(int(a[k]) + 1, int(e[k]), int(p[k])))
+
+    require((a >= 0) & (a < e) & (e <= n),
+            lambda i, j, p: f"run interval [{i}..{j}] out of range for n={n}")
+    require(2 * p <= e - a, lambda i, j, p: f"run [{i}..{j}] with p={p} violates 2p <= length")
+    shortest = (p >= 1) & _has_period(data, a, e, np.maximum(p, 1))
+    spf = np.arange(int(p.max(initial=1)) + 1)  # smallest prime factors: least divisor writes last
+    for k in range(isqrt(spf.size - 1), 1, -1):
+        spf[k * k :: k] = k
+    rem, last = np.where(shortest, p, 1), 1
+    while (rem > 1).any():
+        r = spf[rem]  # prime factors come in non-decreasing order; spf[1] == 1
+        rows = np.flatnonzero(r > last)
+        shortest[rows] &= ~_has_period(data, a[rows], a[rows] + p[rows], p[rows] // r[rows])
+        rem, last = rem // r, r
+    require(shortest, lambda i, j, p: f"run [{i}..{j}] claims period {p} but the factor "
+            f"has period {_periods.shortest_period(w.factor(i, j))}")
+    require((a == 0) | (codes[a - 1] != codes[a + p - 1]),
+            lambda i, j, p: f"run [{i}..{j}] is not left-maximal")
+    require((e == n) | (codes[np.minimum(e, n - 1)] != codes[e - p]),
+            lambda i, j, p: f"run [{i}..{j}] is not right-maximal")
+
+
+def validate_run(w: Word, run: Run) -> None:
+    """:func:`validate_runs` for one run."""
+    validate_runs(w, RunSet.from_runs([run]))
 
 
 def run_stats(w: Word, runs: RunSet) -> RunStats:

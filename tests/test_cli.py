@@ -193,6 +193,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_member_7_passes_above_the_oracle_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "family:7")
+        assert code == 0
+        report = json.loads(out)
+        assert report["oracle"]["checked"] is False
+        assert report["pass"] is True
+
     def test_threshold_override_can_force_failure(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "aaaa", "--threshold", "runs_bound=0.1"

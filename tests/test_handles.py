@@ -1,12 +1,14 @@
 """Handle construction against an independent oracle, plus the property suite."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from runexp.families import run_rich_word
 from runexp.handles import HandleSet, handles_of_run, verify_handle_properties
-from runexp.runs import Run, find_runs
+from runexp.runs import Run, RunSet, find_runs, validate_run, validate_runs
 from runexp.words import word_from_text
 
 
@@ -33,6 +35,37 @@ def oracle_handle_positions(text: str, run: Run) -> tuple[int, ...]:
             assert b - a == p
             positions.add(a + p - 1)
     return tuple(sorted(positions))
+
+
+def per_run_report(word, runs):
+    """The batch report's verdict fields, assembled from one handles_of_run call per run."""
+    handles = [handles_of_run(word, v) for v in runs]
+    seen = set()
+    for h in handles:
+        seen.update(h.positions)
+    sizes = tuple(h.size for h in handles)
+    return {
+        "handle_sizes": sizes,
+        "A": sum(h.size for h in handles if h.owner.p == 1),
+        "B": sum(h.size for h in handles if h.owner.p != 1),
+        "disjoint": len(seen) == sum(sizes),
+        "size_bounds_ok": tuple(
+            h.size + 1 == h.owner.length
+            if h.owner.p == 1
+            else 2 * -(-h.owner.length // h.owner.p) <= h.size + 6
+            and h.size >= 2 * (h.owner.length // h.owner.p - 2)
+            for h in handles
+        ),
+        "case_a_iff_p1": all((h.case == "a") == (h.owner.p == 1) for h in handles),
+    }
+
+
+def assert_batch_matches_per_run(word):
+    runs = find_runs(word)
+    rep = verify_handle_properties(word, runs)
+    expected = per_run_report(word, runs)
+    assert {key: getattr(rep, key) for key in expected} == expected, word.text[:60]
+    return rep
 
 
 class TestExamples:
@@ -150,3 +183,59 @@ class TestPropertySuite:
                 assert ceil_e <= size / 2 + 3
                 assert size >= 2 * (floor_e - 2)
                 assert floor_e <= e < floor_e + 1
+
+
+class TestBatchMatchesPerRun:
+    def test_every_binary_word_up_to_12(self):
+        for length in range(2, 13):
+            for bits in itertools.product("ab", repeat=length):
+                assert_batch_matches_per_run(w("".join(bits), "ab"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="abc", min_size=2, max_size=150))
+    def test_random_ternary(self, text):
+        assert_batch_matches_per_run(w(text))
+
+    def test_long_random_words_take_the_arrays_branch(self):
+        rng = random.Random(13)
+        for _ in range(12):
+            alphabet = "abcd"[: rng.randint(1, 4)]
+            text = "".join(rng.choices(alphabet, k=rng.randint(256, 3000)))
+            assert_batch_matches_per_run(w(text, "abcd"))
+
+    def test_member_6(self):
+        assert assert_batch_matches_per_run(run_rich_word(6)).all_ok
+
+
+class TestBadRuns:
+    BAD = [
+        ("aabaabaa", Run(1, 8, 4), "claims period 4"),
+        ("aaabaa", Run(2, 3, 1), "not left-maximal"),
+        ("abababab", Run(1, 8, 4), "period 2"),
+    ]
+
+    @pytest.mark.parametrize("text, run, message", BAD)
+    def test_every_entry_point_rejects(self, text, run, message):
+        word = w(text)
+        runs = RunSet.from_runs(list(find_runs(word)) + [run])
+        with pytest.raises(ValueError, match=message):
+            verify_handle_properties(word, runs)
+        with pytest.raises(ValueError, match=message):
+            validate_runs(word, runs)
+        with pytest.raises(ValueError, match=message):
+            validate_run(word, run)
+
+    def test_run_listed_twice_is_not_disjoint(self):
+        word = w("aabaabaa")
+        runs = RunSet.from_runs(list(find_runs(word)) + [Run(1, 8, 3)])
+        rep = verify_handle_properties(word, runs)
+        assert rep.disjoint is False
+        assert not rep.all_ok
+
+
+class TestAtScale:
+    @pytest.mark.parametrize("member, a_mass, b_mass", [(7, 21_783, 56_999), (8, 82_587, 216_118)])
+    def test_family_member(self, member, a_mass, b_mass):
+        rep = verify_handle_properties(run_rich_word(member))
+        assert (rep.A, rep.B) == (a_mass, b_mass)
+        assert rep.all_ok

@@ -20,6 +20,7 @@ from runexp.runs import (
     run_stats,
     sigma_as_decimal,
     validate_run,
+    validate_runs,
 )
 from runexp.words import word_from_text
 
@@ -147,6 +148,11 @@ class TestAboveOracleCap:
         word, runs = member
         for k in random.Random(7).sample(range(len(runs)), 500):
             validate_run(word, runs[k])
+
+    def test_every_run_validates_in_one_batch(self, member):
+        word, runs = member
+        assert len(runs) == 88_425
+        validate_runs(word, runs)
 
     def test_engines_agree_on_long_random_words(self):
         rng = random.Random(11)
