@@ -62,7 +62,7 @@ class HandleReport:
     """
 
     n: int
-    runs: tuple[Run, ...]
+    runs: RunSet
     handle_sizes: tuple[int, ...]
     A: int
     B: int
@@ -76,7 +76,7 @@ class HandleReport:
 
     @property
     def size_bound_failures(self) -> tuple[Run, ...]:
-        return tuple(v for v, ok in zip(self.runs, self.size_bounds_ok) if not ok)
+        return tuple(self.runs[k] for k, ok in enumerate(self.size_bounds_ok) if not ok)
 
     @property
     def sum_bound_ok(self) -> bool:
@@ -180,7 +180,7 @@ def verify_handle_properties(w: Word, runs: RunSet | None = None) -> HandleRepor
                          (2 * -(-length // p) <= sizes + 6) & (sizes >= 2 * (length // p - 2)))
     return HandleReport(
         n=n,
-        runs=tuple(runs),
+        runs=runs,
         handle_sizes=tuple(sizes.tolist()),
         A=int(sizes[unary].sum()),
         B=int(sizes[~unary].sum()),

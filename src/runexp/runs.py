@@ -8,9 +8,10 @@ which the letter right after the run is smaller than the one p places
 before it, are longest-Lyndon prefixes. Order 0 is the given letter
 order with the end of the word lowest, and also serves runs that end
 the word; order 1 is the reversed letter order with the end of the word
-highest, which reverses every suffix comparison. Both Lyndon arrays
-therefore come from one suffix array, and a second one, of the reversed
-word, answers the left-extension queries. Each run is reported exactly
+highest, which reverses every suffix comparison. One suffix array
+suffices: both Lyndon arrays come from it, and the ranks of its prefix-
+doubling rounds (the rank of every 2^k-letter block) answer the left and
+right extension queries by binary lifting. Each run is reported exactly
 once, from its leftmost root (left extension < p) in its own order, so
 no dedup pass is needed; a repeated interval is an internal error. The
 brute-force engine applies the definition to every interval and serves
@@ -49,6 +50,9 @@ __all__ = [
 # the quadratic worst case is harmless at this size and the per-call
 # numpy overhead dominates otherwise. Both paths run the same algorithm.
 SMALL_ENGINE_LIMIT = 256
+
+# Positions per step of the arrays engine's extension queries.
+_BLOCK = 1 << 16
 
 BRUTE_FORCE_CAP = 2000
 
@@ -145,58 +149,69 @@ class RunStats:
 # suffix-array plumbing (numpy path)
 # ---------------------------------------------------------------------------
 
-def _suffix_array_doubling(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix array and ranks by prefix doubling with numpy sorts.
+def _prefix_doubling(codes: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the rank of every position's 2^k-letter block, k = 0, 1, ...
 
-    Positions past the end rank below every real symbol, so a proper
-    prefix sorts before any extension of it.
+    Each rank array has n + 1 entries, the last a -1 sentinel. A block
+    cut off by the end of the word ranks below every extension of it and
+    shares its rank with no other position, so two distinct positions
+    share a level-k rank only if both full 2^k-letter blocks are equal.
+    The rounds stop once all ranks differ: the last array is the inverse
+    suffix array. No common extension of two positions is as long as the
+    blocks of that last round, so adding 2^k for each equal pair of blocks,
+    longest blocks first, gives it exactly.
     """
     n = int(codes.size)
-    if n == 1:
-        one = np.zeros(1, dtype=np.int64)
-        return one, one.copy()
-    rank = np.asarray(codes, dtype=np.int32)
+    rank = np.full(n + 1, -1, dtype=np.int32)
+    rank[:n] = codes
     k = 1
     while True:
+        yield rank
         # Sort on one packed key: rank, then the rank k places on (0 past the end).
-        key = rank.astype(np.int64) * (int(rank.max()) + 2)
-        key[: n - k] += rank[k:] + 1
+        key = rank[:n].astype(np.int64) * (int(rank.max()) + 2)
+        key[: n - k] += rank[k:n] + 1
         order = np.argsort(key, kind="stable")
         key = key[order]
         bump = np.empty(n, dtype=np.int32)
         bump[0] = 0
         bump[1:] = key[1:] != key[:-1]
-        new_rank = np.empty(n, dtype=np.int32)
-        new_rank[order] = np.cumsum(bump, dtype=np.int32)
-        rank = new_rank
+        rank = np.full(n + 1, -1, dtype=np.int32)
+        rank[order] = np.cumsum(bump, dtype=np.int32)
         if int(rank[order[-1]]) == n - 1:
-            return order.astype(np.int64), rank
+            yield rank
+            return
         k <<= 1
 
 
-def _to_intarray(values: np.ndarray) -> array:
-    out = array("i")
-    out.frombytes(values.astype(np.int32).tobytes())
-    return out
+def _suffix_array_doubling(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix array and inverse suffix array, from the last prefix-doubling round.
+
+    The arrays engine keeps every round's ranks: they answer left and right extensions.
+    """
+    for rank in _prefix_doubling(codes):
+        pass
+    isa = rank[:-1]
+    sa = np.empty(isa.size, dtype=np.int64)
+    sa[isa] = np.arange(isa.size)
+    return sa, isa
 
 
-def _kasai_lcp(data: bytes, sa, isa) -> array:
-    """LCP array: entry r = lcp of the suffixes ranked r-1 and r."""
-    n = len(data)
-    lcp = array("i", bytes(4 * n))
-    h = 0
-    for i in range(n):
-        r = isa[i]
-        if r > 0:
-            j = sa[r - 1]
-            while i + h < n and j + h < n and data[i + h] == data[j + h]:
-                h += 1
-            lcp[r] = h
-            if h:
-                h -= 1
-        else:
-            h = 0
-    return lcp
+def _lce_right(levels: list[np.ndarray], x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Longest common prefix of data[x:] and data[y:], x < y, from the block ranks."""
+    h = np.zeros_like(x)
+    for k, rank in reversed(list(enumerate(levels))):
+        h += (rank[x + h] == rank[y + h]) * h.dtype.type(1 << k)
+    return h
+
+
+def _lce_left(levels: list[np.ndarray], x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Longest common suffix of data[:x] and data[:y], x < y, from the block ranks."""
+    h = np.zeros_like(x)
+    for k, rank in reversed(list(enumerate(levels))):
+        s = x - h - (1 << k)
+        t = np.maximum(s, 0)
+        h += ((s >= 0) & (rank[t] == rank[t + (y - x)])) * h.dtype.type(1 << k)
+    return h
 
 
 def _lyndon_lengths(rank) -> array:
@@ -253,39 +268,32 @@ def _batched_range_min(values: np.ndarray, left: np.ndarray, right: np.ndarray) 
     return out
 
 
-def _runs_of_order(codes: np.ndarray, lam: array, order: int, isa_f: np.ndarray,
-                    lcp_f: np.ndarray, isa_b: np.ndarray, lcp_b: np.ndarray):
+def _runs_of_order(lam: array, order: int, levels: list[np.ndarray]):
     """Runs whose leftmost Lyndon root in letter order ``order`` is found by ``lam``.
 
-    Returns 0-based (start, end, period) columns.
+    Returns 0-based (start, end, period) columns. Positions are taken in
+    blocks of ``_BLOCK`` to bound the memory of the extension queries.
     """
-    n = int(codes.size)
-    a = np.arange(n, dtype=np.int64)
-    p = np.frombuffer(lam, dtype=np.int32).astype(np.int64)
-    q = a + p
-    # A root left-extended by fewer than p letters reaches 2p only if the
-    # letter after it repeats its first letter.
-    sel = q < n
-    sel[sel] = codes[a[sel]] == codes[q[sel]]
-    a, p, q = a[sel], p[sel], q[sel]
-
-    x = isa_f[a]
-    y = isa_f[q]
-    e = q + _batched_range_min(lcp_f, np.minimum(x, y) + 1, np.maximum(x, y))
-    # The end of the word ranks lowest, so a run ending the word is order 0.
-    padded = np.append(codes, 0)
-    sel = (padded[e] > padded[e - p]) == bool(order)
-    a, p, e = a[sel], p[sel], e[sel]
-
-    l_ext = np.zeros(a.size, dtype=np.int64)
-    sel = a >= 1
-    ar = n - a[sel]
-    x = isa_b[ar]
-    y = isa_b[ar - p[sel]]
-    l_ext[sel] = _batched_range_min(lcp_b, np.minimum(x, y) + 1, np.maximum(x, y))
-
-    keep = (l_ext < p) & (l_ext + e - a >= 2 * p)
-    return a[keep] - l_ext[keep], e[keep] - 1, p[keep]
+    codes = levels[0]  # the letters, with -1 past the end
+    n = codes.size - 1
+    lam = np.frombuffer(lam, dtype=np.int32)
+    cols = []
+    for lo in range(0, n, _BLOCK):
+        a = np.arange(lo, min(lo + _BLOCK, n), dtype=np.int32)
+        p = lam[lo : lo + a.size]
+        q = a + p
+        # A root left-extended by fewer than p letters reaches 2p only if the
+        # letter after it repeats its first letter (the sentinel never does).
+        sel = codes[a] == codes[q]
+        a, p, q = a[sel], p[sel], q[sel]
+        e = q + _lce_right(levels, a, q)
+        # The end of the word ranks lowest, so a run ending the word is order 0.
+        sel = (codes[e] > codes[e - p]) == bool(order)
+        a, p, e = a[sel], p[sel], e[sel]
+        l_ext = _lce_left(levels, a, a + p)
+        keep = (l_ext < p) & (l_ext + e - a >= 2 * p)
+        cols.append((a[keep] - l_ext[keep], e[keep] - 1, p[keep]))
+    return cols
 
 
 def _sorted_runs(n: int, starts: np.ndarray, ends: np.ndarray, periods: np.ndarray):
@@ -301,21 +309,12 @@ def _sorted_runs(n: int, starts: np.ndarray, ends: np.ndarray, periods: np.ndarr
 def _runs_arrays(data: bytes):
     """All runs of ``data`` as sorted 0-based (start, end, period) columns."""
     n = len(data)
-    codes = np.frombuffer(data, dtype=np.uint8)
-
-    sa_f, isa_f = _suffix_array_doubling(codes)
-    sa_b, isa_b = _suffix_array_doubling(codes[::-1])
-
-    isa_f_fast = _to_intarray(isa_f)
-    lcp_f = np.frombuffer(_kasai_lcp(data, _to_intarray(sa_f), isa_f_fast), dtype=np.int32)
-    lcp_b = np.frombuffer(
-        _kasai_lcp(data[::-1], _to_intarray(sa_b), _to_intarray(isa_b)), dtype=np.int32
-    )
-
-    lams = (_lyndon_lengths(isa_f_fast), _lyndon_lengths(_to_intarray((n - 1) - isa_f)))
-    cols = [_runs_of_order(codes, lam, order, isa_f, lcp_f, isa_b, lcp_b)
-            for order, lam in enumerate(lams)]
-    return _sorted_runs(n, *(np.concatenate(c) for c in zip(*cols)))
+    levels = list(_prefix_doubling(np.frombuffer(data, dtype=np.uint8)))
+    isa = levels[-1][:n]
+    lams = [_lyndon_lengths(array("i", r.tobytes())) for r in (isa, (n - 1) - isa)]
+    cols = [c for order, lam in enumerate(lams) for c in _runs_of_order(lam, order, levels)]
+    del levels, isa  # the largest arrays of the call: free them before the sort
+    return _sorted_runs(n, *(np.concatenate(c).astype(np.int64) for c in zip(*cols)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Run enumeration: engines vs the definition oracle, stats, rendering."""
 
+import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from runexp import runs as runs_module
 from runexp.families import run_rich_word
@@ -110,6 +112,34 @@ class TestEngineAgreement:
         assert find_runs(word).as_triples() == find_runs_bruteforce(word).as_triples()
 
 
+class TestExtensionQueries:
+    """Both LCE helpers of the arrays engine against plain slicing, over all pairs x < y."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="abcd", min_size=2, max_size=64))
+    @example("a" * 40)  # unary: every extension reaches an end of the word
+    @example("dcba")  # all letters distinct: no two positions share a rank at any level
+    @example("abaababaabaababaababa")
+    def test_against_slicing(self, text):
+        data = w(text, "abcd").data
+        n = len(data)
+        levels = list(runs_module._prefix_doubling(np.frombuffer(data, dtype=np.uint8)))
+        x, y = (np.array(c, dtype=np.int32) for c in zip(*itertools.combinations(range(n + 1), 2)))
+        inside = y < n  # a common prefix needs a letter at y
+        right = runs_module._lce_right(levels, x[inside], y[inside])
+        left = runs_module._lce_left(levels, x, y)
+        for k, (i, j) in enumerate(zip(x[inside].tolist(), y[inside].tolist())):
+            lcp = 0
+            while j + lcp < n and data[i + lcp] == data[j + lcp]:
+                lcp += 1
+            assert right[k] == lcp, (text, i, j)
+        for k, (i, j) in enumerate(zip(x.tolist(), y.tolist())):
+            lcs = 0
+            while lcs < i and data[i - 1 - lcs] == data[j - 1 - lcs]:
+                lcs += 1
+            assert left[k] == lcs, (text, i, j)
+
+
 class TestDuplicateCheck:
     @pytest.mark.parametrize("engine", ["python", "arrays"])
     def test_repeated_interval_raises(self, monkeypatch, engine):
@@ -154,12 +184,43 @@ class TestAboveOracleCap:
         assert len(runs) == 88_425
         validate_runs(word, runs)
 
+    def test_peak_traced_memory(self, member):
+        # Fixed bound: the peak of the engine that built a second suffix
+        # array and two LCP arrays (Python 3.11, numpy 2.4). Do not raise it.
+        word, _ = member
+        tracemalloc.start()
+        try:
+            find_runs(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12_801_875
+
     def test_engines_agree_on_long_random_words(self):
         rng = random.Random(11)
         for _ in range(12):
             alphabet = "abcd"[: rng.randint(1, 4)]
             word = w("".join(rng.choices(alphabet, k=rng.randint(256, 3000))), "abcd")
             assert find_runs(word, engine="python") == find_runs(word, engine="arrays")
+
+
+def runset_digest(runs):
+    cols = [np.asarray(c, dtype="<i8") for c in (runs.starts, runs.ends, runs.periods)]
+    return hashlib.sha256(np.stack(cols).tobytes()).hexdigest()
+
+
+class TestPinnedDigests:
+    """Bit-identical output above the oracle cap: SHA-256 of (starts, ends, periods)."""
+
+    @pytest.mark.parametrize("index, digest, engines", [
+        (3, "67fa0d4e1edf7e351d3862bd5d397a6d2096a191e573d900f1558d55fd2f1aca", ("python", "arrays")),
+        (4, "5b0e9637667bc593c7b55df3f75f683e00ad4e9608466a6374df94336e551911", ("python", "arrays")),
+        (7, "0f024bf52c60b1c8249c0cb9f88a3a3dbd9b7956d413de87d685c01ee2459d10", ("arrays",)),
+    ])
+    def test_family_member(self, index, digest, engines):
+        word = run_rich_word(index)
+        for engine in engines:
+            assert runset_digest(find_runs(word, engine=engine)) == digest, engine
 
 
 class TestRunSetInvariants:
