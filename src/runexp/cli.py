@@ -6,8 +6,13 @@ bound checks, JSON report), table3 (reproduce the built-in family
 table against embedded reference values), certify-lower-bound (exact
 rational check that sigma/n beats the target on a family word power).
 
+Every input is admitted by one memory rule before it is built or read:
+its letter count (a family member's predicted length, a word file's
+size, or a member's length times the power) times BYTES_PER_LETTER must
+fit in physical memory. A refused input exits 2.
+
 Exit codes: 0 all good, 1 a verification or comparison failed,
-2 usage or I/O problems, or out of memory.
+2 usage or I/O problems, a refused input, or out of memory.
 """
 
 from __future__ import annotations
@@ -21,7 +26,13 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .families import generate_member, load_family, predicted_length, run_rich_word
+from .families import (
+    MAX_BUILTIN_INDEX,
+    builtin_family,
+    generate_member,
+    load_family,
+    predicted_length,
+)
 from .handles import verify_handle_properties
 from .reference import MAIN_FAMILY_REFERENCE
 from .runs import (
@@ -34,14 +45,11 @@ from .runs import (
 )
 from .words import Word, power, read_word_file, word_from_text
 
-__all__ = ["Thresholds", "TableRow", "main"]
+__all__ = ["Thresholds", "main"]
 
-# Words longer than this are gated behind --large (analysis is
-# minutes-scale rather than seconds-scale above it).
-LARGE_WORD_THRESHOLD = 1_000_000
-
-# Upper limit for certify-lower-bound materialization.
-CERTIFY_LENGTH_CAP = 30_000_000
+# Max RSS per letter of `verify`, the heaviest verb, import baseline
+# included: the larger of built-in members 9 and 10 (getrusage).
+BYTES_PER_LETTER = 170
 
 DEFAULT_ORACLE_CAP = 2000
 
@@ -63,19 +71,6 @@ class Thresholds:
     sigma_cubic_bound: Fraction = Fraction("2.5")
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One emitted table row; decimal cells are rendered from exact values."""
-
-    i: int
-    n: int
-    rho: int
-    rho_over_n: str
-    sigma: str
-    sigma_exact: Fraction
-    sigma_over_n: str
-
-
 def ratio_string(num: int | Fraction, den: int, digits: int) -> str:
     if den == 0:
         return "-"
@@ -92,18 +87,6 @@ def sigma_cell_matches(exact: Fraction, published: str) -> bool:
 
 def ratio_matches(exact: Fraction, published: str, tol: Fraction = RATIO_TOLERANCE) -> bool:
     return abs(exact - Fraction(published)) <= tol
-
-
-def table_row(i: int, stats: RunStats) -> TableRow:
-    return TableRow(
-        i=i,
-        n=stats.n,
-        rho=stats.rho,
-        rho_over_n=ratio_string(stats.rho, stats.n, 4),
-        sigma=fraction_to_decimal(stats.sigma, 2),
-        sigma_exact=stats.sigma,
-        sigma_over_n=ratio_string(stats.sigma, stats.n, 4),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,29 +129,39 @@ def _literal_word(text: str) -> Word:
     return word_from_text(text, set(text))
 
 
-def _family_member(index: int, spec_path: str | None, large: bool) -> tuple[Word, str]:
-    if spec_path is None:
-        name = "run-rich"
-        expected = (
-            MAIN_FAMILY_REFERENCE[index - 1].n
-            if 1 <= index <= len(MAIN_FAMILY_REFERENCE)
-            else None
-        )
-        if expected is not None and expected > LARGE_WORD_THRESHOLD and not large:
-            raise UsageError(
-                f"family member {index} has {expected:,} letters; pass --large to analyze it"
-            )
-        return run_rich_word(index), f"{name}:{index}"
-    spec = load_family(spec_path)
-    expected = predicted_length(spec, index)
-    if expected > LARGE_WORD_THRESHOLD and not large:
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def admit(letters: int, what: str) -> None:
+    """Refuse, before it is built, an input projected not to fit in memory."""
+    projected = letters * BYTES_PER_LETTER
+    available = physical_memory()
+    if projected > available:
         raise UsageError(
-            f"family member {index} has {expected:,} letters; pass --large to analyze it"
+            f"{what} has {letters:,} letters: projected {projected / 2**20:,.1f} MB "
+            f"({BYTES_PER_LETTER} B/letter) exceeds the memory cap, the "
+            f"{available / 2**20:,.1f} MB of physical memory"
         )
-    return generate_member(spec, index), f"{spec.name}:{index}"
 
 
-def resolve_word(arg: str, *, family_spec: str | None, large: bool) -> tuple[Word, str]:
+def _family_member(index: int, spec_path: str | None, copies: int = 1) -> tuple[Word, str]:
+    """Member ``index`` of the built-in family or of the spec file,
+    admitted at ``copies`` times its predicted length before it is built."""
+    if spec_path is None:
+        if not 1 <= index <= MAX_BUILTIN_INDEX:
+            raise ValueError(f"family index must be in 1..{MAX_BUILTIN_INDEX}, got {index}")
+        spec = builtin_family()
+    else:
+        spec = load_family(spec_path)
+    label = f"{spec.name}:{index}"
+    what = label if copies == 1 else f"{label} to the power {copies}"
+    admit(predicted_length(spec, index) * copies, what)
+    return generate_member(spec, index), label
+
+
+def resolve_word(arg: str, *, family_spec: str | None) -> tuple[Word, str]:
     """Turn an input argument into a word.
 
     `family:N` picks member N of the built-in family, or of the file
@@ -180,12 +173,10 @@ def resolve_word(arg: str, *, family_spec: str | None, large: bool) -> tuple[Wor
             index = int(arg.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad family reference {arg!r}, expected family:<integer>") from None
-        return _family_member(index, family_spec, large)
+        return _family_member(index, family_spec)
     if os.path.exists(arg):
-        w = read_word_file(arg)
-        if len(w) > LARGE_WORD_THRESHOLD and not large:
-            raise UsageError(f"word file has {len(w):,} letters; pass --large to analyze it")
-        return w, arg
+        admit(os.path.getsize(arg), f"word file {arg}")
+        return read_word_file(arg), arg
     if os.sep in arg:
         raise OSError(f"no such file: {arg}")
     return _literal_word(arg), arg
@@ -217,7 +208,7 @@ def _parse_threshold_overrides(pairs: Sequence[str] | None) -> Thresholds:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    word, _ = _family_member(args.index, args.family_spec, args.large)
+    word, _ = _family_member(args.index, args.family_spec)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(word.text)
@@ -243,7 +234,7 @@ def _stats_cells(stats: RunStats) -> dict[str, str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    word, label = resolve_word(args.input, family_spec=args.family_spec, large=args.large)
+    word, label = resolve_word(args.input, family_spec=args.family_spec)
     runs = find_runs(word)
     stats = run_stats(word, runs)
     cells = _stats_cells(stats)
@@ -271,7 +262,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_runs(args: argparse.Namespace) -> int:
-    word, _ = resolve_word(args.input, family_spec=args.family_spec, large=args.large)
+    word, _ = resolve_word(args.input, family_spec=args.family_spec)
     runs = find_runs(word)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -311,7 +302,7 @@ def bound_checks(stats: RunStats, thresholds: Thresholds) -> dict[str, dict]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     thresholds = _parse_threshold_overrides(args.threshold)
-    word, label = resolve_word(args.input, family_spec=args.family_spec, large=args.large)
+    word, label = resolve_word(args.input, family_spec=args.family_spec)
     runs = find_runs(word)
     stats = run_stats(word, runs)
 
@@ -347,31 +338,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_table3(args: argparse.Namespace) -> int:
     if not 1 <= args.max_i <= len(MAIN_FAMILY_REFERENCE):
         return _usage_error(f"--max-i must be in 1..{len(MAIN_FAMILY_REFERENCE)}, got {args.max_i}")
-    if args.max_i > 8 and not args.large:
-        return _usage_error("indices 9 and 10 are minutes-scale; pass --large to include them")
-    rows: list[TableRow] = []
+    headers = ["i", "n", "rho", "rho_over_n", "sigma", "sigma_exact", "sigma_over_n"]
+    rows: list[list[str]] = []
     mismatches: list[str] = []
     for ref in MAIN_FAMILY_REFERENCE[: args.max_i]:
-        word = run_rich_word(ref.index)
+        word, _ = _family_member(ref.index, None)
         stats = run_stats(word, find_runs(word))
-        row = table_row(ref.index, stats)
-        rows.append(row)
+        cells = _stats_cells(stats)
+        rows.append([str(ref.index), *(cells[h] for h in headers[1:])])
         if stats.n != ref.n:
             mismatches.append(f"i={ref.index}: |w| computed {stats.n}, published {ref.n}")
         if not sigma_cell_matches(stats.sigma, ref.sigma):
             mismatches.append(
-                f"i={ref.index}: sigma computed {row.sigma}, published {ref.sigma}"
+                f"i={ref.index}: sigma computed {cells['sigma']}, published {ref.sigma}"
             )
         if stats.n and not ratio_matches(Fraction(stats.sigma, stats.n), ref.sigma_over_n):
             mismatches.append(
-                f"i={ref.index}: sigma/n computed {row.sigma_over_n}, published {ref.sigma_over_n}"
+                f"i={ref.index}: sigma/n computed {cells['sigma_over_n']}, "
+                f"published {ref.sigma_over_n}"
             )
-    headers = ["i", "n", "rho", "rho_over_n", "sigma", "sigma_exact", "sigma_over_n"]
-    cells = [
-        [str(r.i), str(r.n), str(r.rho), r.rho_over_n, r.sigma, str(r.sigma_exact), r.sigma_over_n]
-        for r in rows
-    ]
-    emit_table(args.format, headers, cells, sys.stdout)
+    emit_table(args.format, headers, rows, sys.stdout)
     if mismatches:
         for line in mismatches:
             print(f"mismatch: {line}", file=sys.stderr)
@@ -386,15 +372,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return _usage_error(f"--power must be >= 1, got {args.power}")
     if not 1 <= args.index <= len(MAIN_FAMILY_REFERENCE):
         return _usage_error(f"--index must be in 1..{len(MAIN_FAMILY_REFERENCE)}, got {args.index}")
-    base_n = MAIN_FAMILY_REFERENCE[args.index - 1].n
-    total = base_n * args.power
-    if total > CERTIFY_LENGTH_CAP:
-        return _usage_error(
-            f"word of {total:,} letters exceeds the certify cap of {CERTIFY_LENGTH_CAP:,}"
-        )
-    if total > LARGE_WORD_THRESHOLD and not args.large:
-        return _usage_error(f"word of {total:,} letters is minutes-scale; pass --large")
-    word = power(run_rich_word(args.index), args.power)
+    member, _ = _family_member(args.index, None, copies=args.power)
+    word = power(member, args.power)
     stats = run_stats(word, find_runs(word))
     ratio = Fraction(stats.sigma, stats.n)
     verdict = ratio > target
@@ -414,22 +393,20 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="word file path, literal word, or family:<index>")
     sub.add_argument("--family-spec", metavar="FILE", help="family spec file backing family:<index>")
-    sub.add_argument("--large", action="store_true",
-                     help=f"allow words longer than {LARGE_WORD_THRESHOLD:,} letters")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="runexp",
         description="Enumerate runs (maximal repetitions) and verify exponent-sum facts.",
+        epilog=f"Inputs projected past physical memory at {BYTES_PER_LETTER} B/letter "
+        "are refused with exit status 2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a family word")
     p.add_argument("index", type=int, help="family member index")
     p.add_argument("--family-spec", metavar="FILE", help="family spec file (default: built-in family)")
-    p.add_argument("--large", action="store_true",
-                   help=f"allow words longer than {LARGE_WORD_THRESHOLD:,} letters")
     p.add_argument("-o", "--output", metavar="FILE", help="write the word here instead of stdout")
     p.set_defaults(func=cmd_generate)
 
@@ -454,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table3", help="reproduce the built-in family table")
     p.add_argument("--max-i", type=int, default=8, metavar="N", help="last index (default 8)")
-    p.add_argument("--large", action="store_true", help="allow indices 9 and 10 (minutes)")
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p.set_defaults(func=cmd_table3)
 
@@ -462,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact check that sigma/n beats the target on a family word power")
     p.add_argument("--index", type=int, default=8, metavar="I", help="family index (default 8)")
     p.add_argument("--power", type=int, default=1, metavar="K", help="repeat count (default 1)")
-    p.add_argument("--large", action="store_true",
-                   help=f"allow words longer than {LARGE_WORD_THRESHOLD:,} letters")
     p.add_argument("--threshold", action="append", metavar="NAME=VALUE",
                    help="override a bound constant, e.g. lower_bound_target=2.03 (repeatable)")
     p.set_defaults(func=cmd_certify)

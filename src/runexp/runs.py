@@ -331,7 +331,14 @@ def _suffix_ranks_small(data: bytes) -> list[int]:
 
 
 def _runs_python(data: bytes):
-    """Same rule as the arrays engine, with direct letter comparisons."""
+    """Same rule as the arrays engine, with direct letter comparisons.
+
+    The cheap filters run first, as in the arrays engine: the letter
+    after the root must repeat its first letter, then the left extension,
+    which stops at p letters, must stay below p. Only the candidates left
+    scan their right extension, which is unbounded: scanning it first
+    made every position of a unary word walk to the end of the word.
+    """
     n = len(data)
     isa = _suffix_ranks_small(data)
     found: list[tuple[int, int, int]] = []
@@ -339,16 +346,18 @@ def _runs_python(data: bytes):
         for i in range(n):
             p = lam[i]
             q = i + p
-            r = 0
-            while q + r < n and data[i + r] == data[q + r]:
-                r += 1
-            e = q + r
-            if r == 0 or (e < n and data[e] > data[e - p]) != order:
+            if q >= n or data[i] != data[q]:
                 continue
             l = 0
             while l < i and l < p and data[i - 1 - l] == data[q - 1 - l]:
                 l += 1
-            if l < p and l + r >= p:
+            if l == p:
+                continue
+            r = 1
+            while q + r < n and data[i + r] == data[q + r]:
+                r += 1
+            e = q + r
+            if (e < n and data[e] > data[e - p]) == order and l + r >= p:
                 found.append((i - l, e - 1, p))
     cols = np.array(found, dtype=np.int64).reshape(len(found), 3).T
     return _sorted_runs(n, *cols)

@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 from runexp.cli import (
+    BYTES_PER_LETTER,
     Thresholds,
     bound_checks,
     main,
     ratio_matches,
     sigma_cell_matches,
 )
+from runexp.families import generate_member
 from runexp.runs import find_runs, run_stats
 from runexp.words import word_from_text
 
@@ -22,6 +24,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def projected(letters):
+    return f"projected {letters * BYTES_PER_LETTER / 2**20:,.1f} MB"
+
+
+@pytest.fixture
+def memory_mb(monkeypatch):
+    """Replace the machine's physical memory by the given number of MB."""
+
+    def set_memory(mb):
+        monkeypatch.setattr("runexp.cli.physical_memory", lambda: int(mb * 2**20))
+
+    return set_memory
+
+
+def never(*args, **kwargs):
+    raise AssertionError("a refused input was built")
 
 
 def parse_markdown_table(text):
@@ -101,10 +121,43 @@ class TestAnalyze:
         assert code == 2
         assert "family" in err
 
-    def test_large_family_member_gated(self, capsys):
-        code, _, err = run_cli(capsys, "analyze", "family:9")
+    def test_family_member_refused_before_it_is_built(self, capsys, monkeypatch, memory_mb):
+        memory_mb(100)
+        monkeypatch.setattr("runexp.cli.generate_member", never)
+        code, out, err = run_cli(capsys, "analyze", "family:9")
         assert code == 2
-        assert "--large" in err
+        assert out == ""
+        assert "run-rich:9 has 1,373,693 letters" in err
+        assert projected(1_373_693) in err
+        assert "100.0 MB of physical memory" in err
+
+    def test_spec_family_member_refused_before_it_is_built(
+        self, capsys, monkeypatch, tmp_path, memory_mb
+    ):
+        spec = tmp_path / "fib.fam"
+        spec.write_text("name = fib\nseed = a\n[inner]\na -> ab\nb -> a\n")
+        memory_mb(1)
+        monkeypatch.setattr("runexp.cli.generate_member", never)
+        # member 20 of the Fibonacci family has F(22) = 17,711 letters
+        code, _, err = run_cli(capsys, "verify", "family:20", "--family-spec", str(spec))
+        assert code == 2
+        assert "fib:20 has 17,711 letters" in err
+        assert projected(17_711) in err
+
+    def test_word_file_refused_before_it_is_read(self, capsys, monkeypatch, tmp_path, memory_mb):
+        path = tmp_path / "w.txt"
+        path.write_text("ab" * 5000 + "\n")
+        memory_mb(1)
+        monkeypatch.setattr("runexp.cli.read_word_file", never)
+        code, _, err = run_cli(capsys, "runs", str(path))
+        assert code == 2
+        assert projected(10_001) in err
+
+    def test_input_within_memory_is_admitted(self, capsys, memory_mb):
+        memory_mb(6647 * BYTES_PER_LETTER / 2**20)
+        code, out, _ = run_cli(capsys, "analyze", "family:5", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["n"] == 6647
 
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
         def exhausted(word):
@@ -234,10 +287,23 @@ class TestTable3:
         json_rows = json.loads(out_json)
         assert md_rows == csv_rows == json_rows
 
-    def test_large_indices_gated(self, capsys):
-        code, _, err = run_cli(capsys, "table3", "--max-i", "9")
+    def test_member_past_memory_refused_before_it_is_built(
+        self, capsys, monkeypatch, memory_mb
+    ):
+        built = []
+
+        def recording(spec, index):
+            built.append(index)
+            return generate_member(spec, index)
+
+        monkeypatch.setattr("runexp.cli.generate_member", recording)
+        memory_mb(0.1)  # admits members 1..3 (461 letters), not member 4 (1,751)
+        code, out, err = run_cli(capsys, "table3", "--max-i", "9")
         assert code == 2
-        assert "--large" in err
+        assert out == ""
+        assert built == [1, 2, 3]
+        assert "run-rich:4 has 1,751 letters" in err
+        assert projected(1751) in err
 
     def test_index_zero_rejected(self, capsys):
         code, _, err = run_cli(capsys, "table3", "--max-i", "0")
@@ -266,6 +332,16 @@ class TestCertify:
     def test_bad_power(self, capsys):
         code, _, err = run_cli(capsys, "certify-lower-bound", "--power", "0")
         assert code == 2
+
+    def test_power_refused_before_it_is_built(self, capsys, monkeypatch, memory_mb):
+        memory_mb(2)  # member 5 (6,647 letters) fits, its cube does not
+        monkeypatch.setattr("runexp.cli.power", never)
+        monkeypatch.setattr("runexp.cli.generate_member", never)
+        code, out, err = run_cli(capsys, "certify-lower-bound", "--index", "5", "--power", "3")
+        assert code == 2
+        assert out == ""
+        assert "run-rich:5 to the power 3 has 19,941 letters" in err
+        assert projected(19_941) in err
 
     def test_huge_power_capped(self, capsys):
         code, _, err = run_cli(capsys, "certify-lower-bound", "--power", "1000000")

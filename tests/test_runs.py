@@ -91,6 +91,17 @@ class TestEngineAgreement:
                 assert find_runs(word, engine="python").as_triples() == expected
                 assert find_runs(word, engine="arrays").as_triples() == expected
 
+    def test_unary_and_one_letter_changed_up_to_300(self):
+        rng = random.Random(5)
+        for length in range(2, 301):
+            pos = rng.randrange(length)
+            changed = "b" * pos + "ac"[length % 2] + "b" * (length - pos - 1)
+            for text in ("b" * length, changed):
+                word = w(text)
+                expected = find_runs_bruteforce(word).as_triples()
+                assert find_runs(word, engine="python").as_triples() == expected, text
+                assert find_runs(word, engine="arrays").as_triples() == expected, text
+
     @settings(max_examples=250, deadline=None)
     @given(st.text(alphabet="abc", min_size=2, max_size=260))
     def test_random_ternary(self, text):
