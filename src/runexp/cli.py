@@ -36,6 +36,7 @@ from .families import (
 from .handles import verify_handle_properties
 from .reference import MAIN_FAMILY_REFERENCE
 from .runs import (
+    BRUTE_FORCE_CAP,
     RunStats,
     find_runs,
     find_runs_bruteforce,
@@ -47,11 +48,9 @@ from .words import Word, power, read_word_file, word_from_text
 
 __all__ = ["Thresholds", "main"]
 
-# Max RSS per letter of `verify`, the heaviest verb, import baseline
-# included: the larger of built-in members 9 and 10 (getrusage).
+# Bound on the max RSS per letter of any verb, import baseline included
+# (getrusage): `verify`, the heaviest, reaches about 150 on built-in member 9.
 BYTES_PER_LETTER = 170
-
-DEFAULT_ORACLE_CAP = 2000
 
 RATIO_TOLERANCE = Fraction(1, 10_000)
 
@@ -303,7 +302,8 @@ def bound_checks(stats: RunStats, thresholds: Thresholds) -> dict[str, dict]:
 def cmd_verify(args: argparse.Namespace) -> int:
     thresholds = _parse_threshold_overrides(args.threshold)
     word, label = resolve_word(args.input, family_spec=args.family_spec)
-    runs = find_runs(word)
+    handle_report = verify_handle_properties(word)
+    runs = handle_report.runs
     stats = run_stats(word, runs)
 
     oracle: dict = {"cap": args.oracle_cap, "checked": False, "match": None}
@@ -311,7 +311,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         oracle["checked"] = True
         oracle["match"] = find_runs_bruteforce(word, cap=args.oracle_cap) == runs
 
-    handle_report = verify_handle_properties(word, runs)
     bounds = bound_checks(stats, thresholds)
 
     ok = (
@@ -341,8 +340,11 @@ def cmd_table3(args: argparse.Namespace) -> int:
     headers = ["i", "n", "rho", "rho_over_n", "sigma", "sigma_exact", "sigma_over_n"]
     rows: list[list[str]] = []
     mismatches: list[str] = []
+    spec = builtin_family()
+    # Members grow with the index: admitting the last one admits them all.
+    admit(predicted_length(spec, args.max_i), f"{spec.name}:{args.max_i}")
     for ref in MAIN_FAMILY_REFERENCE[: args.max_i]:
-        word, _ = _family_member(ref.index, None)
+        word = generate_member(spec, ref.index)
         stats = run_stats(word, find_runs(word))
         cells = _stats_cells(stats)
         rows.append([str(ref.index), *(cells[h] for h in headers[1:])])
@@ -423,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle + handle + bound checks, JSON report")
     _add_input_options(p)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, metavar="N",
+    p.add_argument("--oracle-cap", type=int, default=BRUTE_FORCE_CAP, metavar="N",
                    help="run the brute-force comparison when n <= N (default %(default)s)")
     p.add_argument("--threshold", action="append", metavar="NAME=VALUE",
                    help="override a bound constant (repeatable)")

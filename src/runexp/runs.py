@@ -183,19 +183,6 @@ def _prefix_doubling(codes: np.ndarray) -> Iterator[np.ndarray]:
         k <<= 1
 
 
-def _suffix_array_doubling(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix array and inverse suffix array, from the last prefix-doubling round.
-
-    The arrays engine keeps every round's ranks: they answer left and right extensions.
-    """
-    for rank in _prefix_doubling(codes):
-        pass
-    isa = rank[:-1]
-    sa = np.empty(isa.size, dtype=np.int64)
-    sa[isa] = np.arange(isa.size)
-    return sa, isa
-
-
 def _lce_right(levels: list[np.ndarray], x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Longest common prefix of data[x:] and data[y:], x < y, from the block ranks."""
     h = np.zeros_like(x)
@@ -242,32 +229,6 @@ def _lyndon_lengths(rank) -> array:
     return lam
 
 
-def _batched_range_min(values: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Minimum of values[l..r] (inclusive) for many queries at once.
-
-    Streams the sparse-table levels so only two levels are alive at a
-    time; queries are answered at the level matching their length.
-    """
-    out = np.empty(left.shape, dtype=values.dtype)
-    if left.size == 0:
-        return out
-    lengths = (right - left + 1).astype(np.float64)
-    _, exp = np.frexp(lengths)
-    level = exp.astype(np.int64) - 1  # floor(log2(len)), exact for ints < 2**53
-    table = values
-    kmax = int(level.max())
-    for k in range(kmax + 1):
-        mask = level == k
-        if mask.any():
-            l = left[mask]
-            r = right[mask]
-            out[mask] = np.minimum(table[l], table[r - (1 << k) + 1])
-        if k < kmax:
-            step = 1 << k
-            table = np.minimum(table[: table.size - step], table[step:])
-    return out
-
-
 def _runs_of_order(lam: array, order: int, levels: list[np.ndarray]):
     """Runs whose leftmost Lyndon root in letter order ``order`` is found by ``lam``.
 
@@ -307,14 +268,17 @@ def _sorted_runs(n: int, starts: np.ndarray, ends: np.ndarray, periods: np.ndarr
 
 
 def _runs_arrays(data: bytes):
-    """All runs of ``data`` as sorted 0-based (start, end, period) columns."""
+    """All runs of ``data`` as sorted 0-based (start, end, period) columns, and the
+    inverse suffix array."""
     n = len(data)
     levels = list(_prefix_doubling(np.frombuffer(data, dtype=np.uint8)))
     isa = levels[-1][:n]
     lams = [_lyndon_lengths(array("i", r.tobytes())) for r in (isa, (n - 1) - isa)]
     cols = [c for order, lam in enumerate(lams) for c in _runs_of_order(lam, order, levels)]
-    del levels, isa  # the largest arrays of the call: free them before the sort
-    return _sorted_runs(n, *(np.concatenate(c).astype(np.int64) for c in zip(*cols)))
+    # A copy, not a view: a view would keep the last level's buffer alive on the heap.
+    isa = isa.copy()
+    del levels, lams  # the largest arrays of the call: free them before the sort
+    return _sorted_runs(n, *(np.concatenate(c).astype(np.int64) for c in zip(*cols))), isa
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +324,7 @@ def _runs_python(data: bytes):
             if (e < n and data[e] > data[e - p]) == order and l + r >= p:
                 found.append((i - l, e - 1, p))
     cols = np.array(found, dtype=np.int64).reshape(len(found), 3).T
-    return _sorted_runs(n, *cols)
+    return _sorted_runs(n, *cols), isa
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +337,26 @@ def find_runs(w: Word, *, engine: str = "auto") -> RunSet:
     ``engine`` selects the primitive backend: "python" (short inputs),
     "arrays" (numpy, scales to millions of letters) or "auto".
     """
+    return _runs_and_ranks(w, engine)[0]
+
+
+def _runs_and_ranks(w: Word, engine: str = "auto"):
+    """:func:`find_runs`, and the inverse suffix array (end of word lowest)
+    that its engine built: a list from the Python engine, an int32 array
+    from the arrays engine."""
     data = w.data
     n = len(data)
     if n < 2:
-        return RunSet.from_runs([])
+        return RunSet.from_runs([]), list(range(n))
     if engine == "auto":
         engine = "python" if n < SMALL_ENGINE_LIMIT else "arrays"
     if engine == "python":
-        starts, ends, periods = _runs_python(data)
+        (starts, ends, periods), isa = _runs_python(data)
     elif engine == "arrays":
-        starts, ends, periods = _runs_arrays(data)
+        (starts, ends, periods), isa = _runs_arrays(data)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    return RunSet(starts + 1, ends + 1, periods)
+    return RunSet(starts + 1, ends + 1, periods), isa
 
 
 def find_runs_bruteforce(w: Word, *, cap: int = BRUTE_FORCE_CAP) -> RunSet:
@@ -424,8 +395,12 @@ def find_runs_bruteforce(w: Word, *, cap: int = BRUTE_FORCE_CAP) -> RunSet:
 
 
 def _has_period(data: bytes, a: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Whether data[a:e] has period q, row by row, one bytes comparison each."""
-    rows = zip(a.tolist(), e.tolist(), q.tolist())
+    """Whether data[a:e] has period q, row by row, one bytes comparison each.
+
+    The columns are read one int at a time through memoryviews: as lists
+    (``tolist``) they would be the largest allocation of the handle suite.
+    """
+    rows = zip(memoryview(a), memoryview(e), memoryview(q))
     return np.array([data[x : y - d] == data[x + d : y] for x, y, d in rows], dtype=bool)
 
 

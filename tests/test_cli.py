@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from runexp import runs as runs_module
 from runexp.cli import (
     BYTES_PER_LETTER,
     Thresholds,
@@ -253,6 +254,25 @@ class TestVerify:
         assert report["oracle"]["checked"] is False
         assert report["pass"] is True
 
+    @pytest.mark.parametrize("word, sort", [
+        ("family:5", "_prefix_doubling"),  # 6,647 letters: the arrays engine
+        ("aabaabaa", "_suffix_ranks_small"),  # the Python engine
+    ])
+    def test_one_suffix_sort_per_word(self, capsys, monkeypatch, word, sort):
+        # The handle suite takes its roots from the enumeration's own ranks.
+        calls = []
+        original = getattr(runs_module, sort)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(runs_module, sort, counted)
+        code, out, _ = run_cli(capsys, "verify", word)
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+        assert len(calls) == 1
+
     def test_threshold_override_can_force_failure(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "aaaa", "--threshold", "runs_bound=0.1"
@@ -297,13 +317,13 @@ class TestTable3:
             return generate_member(spec, index)
 
         monkeypatch.setattr("runexp.cli.generate_member", recording)
-        memory_mb(0.1)  # admits members 1..3 (461 letters), not member 4 (1,751)
+        memory_mb(0.1)  # would admit members 1..3 (461 letters); the last one is checked first
         code, out, err = run_cli(capsys, "table3", "--max-i", "9")
         assert code == 2
         assert out == ""
-        assert built == [1, 2, 3]
-        assert "run-rich:4 has 1,751 letters" in err
-        assert projected(1751) in err
+        assert built == []
+        assert "run-rich:9 has 1,373,693 letters" in err
+        assert projected(1_373_693) in err
 
     def test_index_zero_rejected(self, capsys):
         code, _, err = run_cli(capsys, "table3", "--max-i", "0")

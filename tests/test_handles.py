@@ -200,7 +200,7 @@ class TestBatchMatchesPerRun:
         rng = random.Random(13)
         for _ in range(12):
             alphabet = "abcd"[: rng.randint(1, 4)]
-            text = "".join(rng.choices(alphabet, k=rng.randint(256, 3000)))
+            text = "".join(rng.choices(alphabet, k=rng.randint(150, 3000)))
             assert_batch_matches_per_run(w(text, "abcd"))
 
     def test_member_6(self):

@@ -151,6 +151,34 @@ class TestExtensionQueries:
             assert left[k] == lcs, (text, i, j)
 
 
+class TestInverseSuffixArray:
+    """The ranks each engine hands to the handle suite, against sorted suffixes."""
+
+    @staticmethod
+    def sorted_suffix_ranks(data):
+        isa = [0] * len(data)
+        for r, i in enumerate(sorted(range(len(data)), key=lambda i: data[i:])):
+            isa[i] = r
+        return isa
+
+    def check(self, word, engine):
+        _, isa = runs_module._runs_and_ranks(word, engine)
+        assert isinstance(isa, list) == (engine == "python")
+        assert np.asarray(isa).tolist() == self.sorted_suffix_ranks(word.data), word.text[:40]
+
+    @pytest.mark.parametrize("engine", ["python", "arrays"])
+    def test_seeded_words(self, engine):
+        rng = random.Random(17)
+        for length in [2, 3, 255, 256, 257, 600] + [rng.randint(2, 600) for _ in range(30)]:
+            alphabet = "abcd"[: rng.randint(1, 4)]
+            self.check(w("".join(rng.choices(alphabet, k=length)), "abcd"), engine)
+
+    @pytest.mark.parametrize("engine", ["python", "arrays"])
+    @pytest.mark.parametrize("index", [3, 4])
+    def test_family_members(self, index, engine):
+        self.check(run_rich_word(index), engine)
+
+
 class TestDuplicateCheck:
     @pytest.mark.parametrize("engine", ["python", "arrays"])
     def test_repeated_interval_raises(self, monkeypatch, engine):
