@@ -37,6 +37,7 @@ from .handles import verify_handle_properties
 from .reference import MAIN_FAMILY_REFERENCE
 from .runs import (
     BRUTE_FORCE_CAP,
+    RunSet,
     RunStats,
     find_runs,
     find_runs_bruteforce,
@@ -44,13 +45,14 @@ from .runs import (
     run_stats,
     write_run_listing,
 )
-from .words import Word, power, read_word_file, word_from_text
+from .words import Word, power, read_word_file, word_from_text, write_word_file
 
 __all__ = ["Thresholds", "main"]
 
-# Bound on the max RSS per letter of any verb, import baseline included
-# (getrusage): `verify`, the heaviest, reaches about 150 on built-in member 9.
-BYTES_PER_LETTER = 170
+# Bound on the max RSS per letter of any verb and listing flag, import
+# baseline included (getrusage): `verify`, the heaviest, reaches about 143
+# on built-in member 9 and every verb about 125 on member 10.
+BYTES_PER_LETTER = 150
 
 RATIO_TOLERANCE = Fraction(1, 10_000)
 
@@ -209,9 +211,7 @@ def _parse_threshold_overrides(pairs: Sequence[str] | None) -> Thresholds:
 def cmd_generate(args: argparse.Namespace) -> int:
     word, _ = _family_member(args.index, args.family_spec)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(word.text)
-            fh.write("\n")
+        write_word_file(word, args.output)
     else:
         sys.stdout.write(word.text)
         sys.stdout.write("\n")
@@ -232,6 +232,21 @@ def _stats_cells(stats: RunStats) -> dict[str, str]:
     }
 
 
+def _write_json_with_runs(payload: dict, runs: RunSet, out: TextIO) -> None:
+    """``json.dump`` of ``payload`` plus a last key "runs", one [i, j, p, length,
+    exponent] row per run, with ``indent=2``; the rows are written one at a time
+    instead of being built as one list."""
+    out.write(json.dumps(payload, indent=2)[:-2])  # all but the closing "\n}"
+    out.write(',\n  "runs": [')
+    sep = "\n"
+    for r in runs:
+        e = r.exponent
+        out.write(f'{sep}    [\n      {r.i},\n      {r.j},\n      {r.p},\n      {r.length},\n'
+                  f'      "{e.numerator}/{e.denominator}"\n    ]')
+        sep = ",\n"
+    out.write("\n  ]\n}" if len(runs) else "]\n}")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     word, label = resolve_word(args.input, family_spec=args.family_spec)
     runs = find_runs(word)
@@ -243,11 +258,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         payload: dict = {"word": label, **cells}
         payload.update(n=stats.n, rho=stats.rho, rho_cubic=stats.rho_cubic)
         if args.runs:
-            payload["runs"] = [
-                [r.i, r.j, r.p, r.length, f"{r.exponent.numerator}/{r.exponent.denominator}"]
-                for r in runs
-            ]
-        json.dump(payload, out, indent=2)
+            _write_json_with_runs(payload, runs, out)
+        else:
+            json.dump(payload, out, indent=2)
         out.write("\n")
         return 0
     if args.format == "md":

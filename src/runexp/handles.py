@@ -60,7 +60,8 @@ class HandleReport:
     A sums handle sizes over period-1 runs, B over the rest. The
     per-run size bounds are: p = 1 forces exponent = size + 1 exactly;
     p >= 2 forces ceil(exponent) <= size/2 + 3 and
-    size >= 2*(floor(exponent) - 2).
+    size >= 2*(floor(exponent) - 2). ``size_bound_failures`` holds the
+    runs that break them.
     """
 
     n: int
@@ -69,16 +70,12 @@ class HandleReport:
     A: int
     B: int
     disjoint: bool
-    size_bounds_ok: tuple[bool, ...]
+    size_bound_failures: tuple[Run, ...]
     case_a_iff_p1: bool
 
     @property
     def rho(self) -> int:
         return len(self.runs)
-
-    @property
-    def size_bound_failures(self) -> tuple[Run, ...]:
-        return tuple(self.runs[k] for k, ok in enumerate(self.size_bounds_ok) if not ok)
 
     @property
     def sum_bound_ok(self) -> bool:
@@ -91,7 +88,7 @@ class HandleReport:
             self.disjoint
             and self.case_a_iff_p1
             and self.sum_bound_ok
-            and all(self.size_bounds_ok)
+            and not self.size_bound_failures
         )
 
     def as_json_dict(self) -> dict:
@@ -152,17 +149,16 @@ def _lyndon_roots(isa: np.ndarray, a: np.ndarray, p: np.ndarray) -> tuple[np.nda
     return tuple(sa[extreme.reduceat(isa, bounds)[::2]] for extreme in (np.minimum, np.maximum))
 
 
-def verify_handle_properties(w: Word, runs: RunSet | None = None) -> HandleReport:
+def verify_handle_properties(w: Word) -> HandleReport:
     """Check every proved handle property on one word.
 
-    Verdicts are collected, not raised: disjointness of all handle
-    sets, case (a) exactly for period-1 runs, the per-run size bounds,
-    and A + B <= n - 1. ``w`` is enumerated once, for its ranks; ``runs``
-    defaults to that enumeration and is validated first.
+    ``w`` is enumerated once: its runs are validated against the
+    definition first (raising on a bad run), and the same enumeration's
+    ranks give every handle. Verdicts are collected, not raised:
+    disjointness of all handle sets, case (a) exactly for period-1 runs,
+    the per-run size bounds, and A + B <= n - 1.
     """
-    found, isa = _runs._runs_and_ranks(w)
-    if runs is None:
-        runs = found
+    runs, isa = _runs._runs_and_ranks(w)
     validate_runs(w, runs)
     n = len(w)
     a, e, p = runs.starts - 1, runs.ends, runs.periods
@@ -188,6 +184,6 @@ def verify_handle_properties(w: Word, runs: RunSet | None = None) -> HandleRepor
         A=int(sizes[unary].sum()),
         B=int(sizes[~unary].sum()),
         disjoint=disjoint,
-        size_bounds_ok=tuple(bounds_ok.tolist()),
+        size_bound_failures=tuple(runs[k] for k in np.flatnonzero(~bounds_ok).tolist()),
         case_a_iff_p1=bool((case_a == unary).all()),
     )

@@ -49,7 +49,8 @@ __all__ = [
 # Inputs shorter than this are processed with plain-Python primitives;
 # the quadratic worst case is harmless at this size and the per-call
 # numpy overhead dominates otherwise. Both paths run the same algorithm.
-SMALL_ENGINE_LIMIT = 256
+# On random binary words the arrays engine is faster from about 352 letters.
+SMALL_ENGINE_LIMIT = 352
 
 # Positions per step of the arrays engine's extension queries.
 _BLOCK = 1 << 16
@@ -111,7 +112,9 @@ class RunSet:
         return int(self.starts.size)
 
     def __iter__(self) -> Iterator[Run]:
-        for i, j, p in zip(self.starts.tolist(), self.ends.tolist(), self.periods.tolist()):
+        # Memoryviews yield one int at a time: three tolist() copies would be
+        # the largest allocation of a run listing.
+        for i, j, p in zip(memoryview(self.starts), memoryview(self.ends), memoryview(self.periods)):
             yield Run(i, j, p)
 
     def __getitem__(self, k: int) -> Run:
@@ -331,31 +334,25 @@ def _runs_python(data: bytes):
 # public operations
 # ---------------------------------------------------------------------------
 
-def find_runs(w: Word, *, engine: str = "auto") -> RunSet:
+def find_runs(w: Word) -> RunSet:
     """All runs of ``w``, each reported once, sorted by (i, j).
 
-    ``engine`` selects the primitive backend: "python" (short inputs),
-    "arrays" (numpy, scales to millions of letters) or "auto".
+    Words shorter than ``SMALL_ENGINE_LIMIT`` letters take the plain-Python
+    engine, longer ones the numpy arrays engine; both apply the same rule.
     """
-    return _runs_and_ranks(w, engine)[0]
+    return _runs_and_ranks(w)[0]
 
 
-def _runs_and_ranks(w: Word, engine: str = "auto"):
+def _runs_and_ranks(w: Word):
     """:func:`find_runs`, and the inverse suffix array (end of word lowest)
     that its engine built: a list from the Python engine, an int32 array
-    from the arrays engine."""
+    from the arrays engine. The engine follows from the length alone."""
     data = w.data
     n = len(data)
     if n < 2:
         return RunSet.from_runs([]), list(range(n))
-    if engine == "auto":
-        engine = "python" if n < SMALL_ENGINE_LIMIT else "arrays"
-    if engine == "python":
-        (starts, ends, periods), isa = _runs_python(data)
-    elif engine == "arrays":
-        (starts, ends, periods), isa = _runs_arrays(data)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    engine = _runs_python if n < SMALL_ENGINE_LIMIT else _runs_arrays
+    (starts, ends, periods), isa = engine(data)
     return RunSet(starts + 1, ends + 1, periods), isa
 
 
@@ -372,19 +369,10 @@ def find_runs_bruteforce(w: Word, *, cap: int = BRUTE_FORCE_CAP) -> RunSet:
     data = w.data
     found: list[tuple[int, int, int]] = []
     for b in range(n):
-        sub = data[b:]
-        m = len(sub)
-        pf = [0] * m
-        k = 0
-        for q in range(1, m):
-            c = sub[q]
-            while k > 0 and sub[k] != c:
-                k = pf[k - 1]
-            if sub[k] == c:
-                k += 1
-            pf[q] = k
+        # Entry q of the border table of data[b:] gives the shortest period of data[b:b+q+1].
+        for q, border in enumerate(_periods._prefix_function(data[b:])):
             length = q + 1
-            p = length - k
+            p = length - border
             if 2 * p <= length:
                 e = b + q
                 if (b == 0 or data[b - 1] != data[b + p - 1]) and (

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from runexp import runs as runs_module
 from runexp.cli import Thresholds, ratio_matches, sigma_cell_matches
 from runexp.families import run_rich_word
 from runexp.handles import verify_handle_properties
 from runexp.reference import EXTERNAL_FAMILY_REFERENCE, MAIN_FAMILY_REFERENCE
-from runexp.runs import find_runs, find_runs_bruteforce, run_stats
+from runexp.runs import RunSet, find_runs, find_runs_bruteforce, run_stats
 from runexp.words import power, read_word_file, word_from_text
 
 BINARY_MAX_LEN = 16
@@ -109,11 +110,11 @@ def test_criterion_3_oracle_equivalence(binary_corpus, ternary_corpus):
         ((t, "ab") for t in binary_corpus), ((t, "abc") for t in ternary_corpus)
     ):
         word = word_from_text(text, alphabet)
-        expected = find_runs_bruteforce(word).as_triples()
-        if find_runs(word).as_triples() != expected:
-            problems.append(f"default engine disagrees on {text[:40]!r}")
-        if find_runs(word, engine="arrays").as_triples() != expected:
-            problems.append(f"arrays engine disagrees on {text[:40]!r}")
+        expected = find_runs_bruteforce(word)
+        for name, engine in (("python", runs_module._runs_python), ("arrays", runs_module._runs_arrays)):
+            (starts, ends, periods), _ = engine(word.data)
+            if RunSet(starts + 1, ends + 1, periods) != expected:
+                problems.append(f"{name} engine disagrees on {text[:40]!r}")
         checked += 1
         if len(problems) > 10:
             break

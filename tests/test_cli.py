@@ -93,6 +93,18 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["runs"] == [[1, 4, 2, 4, "2/1"]]
 
+    @pytest.mark.parametrize("text", ["abab", "abc", "aabaabaa"])
+    def test_json_runs_written_as_json_dump_would(self, capsys, text):
+        # The rows are streamed; the bytes stay those of one json.dump of the whole payload.
+        _, plain, _ = run_cli(capsys, "analyze", text, "--format", "json")
+        _, out, _ = run_cli(capsys, "analyze", text, "--format", "json", "--runs")
+        payload = json.loads(plain)
+        payload["runs"] = [
+            [r.i, r.j, r.p, r.length, f"{r.exponent.numerator}/{r.exponent.denominator}"]
+            for r in find_runs(word_from_text(text, set(text)))
+        ]
+        assert out == json.dumps(payload, indent=2) + "\n"
+
     def test_word_file_input(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("abababab\n")
@@ -181,6 +193,7 @@ class TestGenerateAndRuns:
         path = tmp_path / "w2.txt"
         code, _, _ = run_cli(capsys, "generate", "2", "-o", str(path))
         assert code == 0
+        assert path.read_text() == run_cli(capsys, "generate", "2")[1]
         code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
         assert json.loads(out)["n"] == 119
 

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from runexp import runs as runs_module
 from runexp.families import run_rich_word
 from runexp.handles import HandleSet, handles_of_run, verify_handle_properties
 from runexp.runs import Run, RunSet, find_runs, validate_run, validate_runs
@@ -49,21 +50,23 @@ def per_run_report(word, runs):
         "A": sum(h.size for h in handles if h.owner.p == 1),
         "B": sum(h.size for h in handles if h.owner.p != 1),
         "disjoint": len(seen) == sum(sizes),
-        "size_bounds_ok": tuple(
-            h.size + 1 == h.owner.length
-            if h.owner.p == 1
-            else 2 * -(-h.owner.length // h.owner.p) <= h.size + 6
-            and h.size >= 2 * (h.owner.length // h.owner.p - 2)
+        "size_bound_failures": tuple(
+            h.owner
             for h in handles
+            if not (
+                h.size + 1 == h.owner.length
+                if h.owner.p == 1
+                else 2 * -(-h.owner.length // h.owner.p) <= h.size + 6
+                and h.size >= 2 * (h.owner.length // h.owner.p - 2)
+            )
         ),
         "case_a_iff_p1": all((h.case == "a") == (h.owner.p == 1) for h in handles),
     }
 
 
 def assert_batch_matches_per_run(word):
-    runs = find_runs(word)
-    rep = verify_handle_properties(word, runs)
-    expected = per_run_report(word, runs)
+    rep = verify_handle_properties(word)
+    expected = per_run_report(word, rep.runs)
     assert {key: getattr(rep, key) for key in expected} == expected, word.text[:60]
     return rep
 
@@ -143,10 +146,6 @@ class TestPropertySuite:
         rep = verify_handle_properties(w(""))
         assert rep.rho == 0 and rep.all_ok
 
-    def test_runs_argument_defaults_to_find_runs(self):
-        word = w("ababab")
-        assert verify_handle_properties(word) == verify_handle_properties(word, find_runs(word))
-
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="ab", min_size=2, max_size=120))
     def test_all_checks_hold_binary(self, text):
@@ -207,6 +206,12 @@ class TestBatchMatchesPerRun:
         assert assert_batch_matches_per_run(run_rich_word(6)).all_ok
 
 
+def enumerate_as(monkeypatch, runs):
+    """Make the handle suite see ``runs`` as the enumeration of the word it checks."""
+    real = runs_module._runs_and_ranks
+    monkeypatch.setattr(runs_module, "_runs_and_ranks", lambda word: (runs, real(word)[1]))
+
+
 class TestBadRuns:
     BAD = [
         ("aabaabaa", Run(1, 8, 4), "claims period 4"),
@@ -215,20 +220,22 @@ class TestBadRuns:
     ]
 
     @pytest.mark.parametrize("text, run, message", BAD)
-    def test_every_entry_point_rejects(self, text, run, message):
+    def test_every_entry_point_rejects(self, monkeypatch, text, run, message):
         word = w(text)
         runs = RunSet.from_runs(list(find_runs(word)) + [run])
+        enumerate_as(monkeypatch, runs)
         with pytest.raises(ValueError, match=message):
-            verify_handle_properties(word, runs)
+            verify_handle_properties(word)
         with pytest.raises(ValueError, match=message):
             validate_runs(word, runs)
         with pytest.raises(ValueError, match=message):
             validate_run(word, run)
 
-    def test_run_listed_twice_is_not_disjoint(self):
+    def test_run_listed_twice_is_not_disjoint(self, monkeypatch):
         word = w("aabaabaa")
         runs = RunSet.from_runs(list(find_runs(word)) + [Run(1, 8, 3)])
-        rep = verify_handle_properties(word, runs)
+        enumerate_as(monkeypatch, runs)
+        rep = verify_handle_properties(word)
         assert rep.disjoint is False
         assert not rep.all_ok
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from runexp import runs as runs_module
 from runexp.families import run_rich_word
 from runexp.runs import (
+    SMALL_ENGINE_LIMIT,
     Run,
     RunSet,
     find_runs,
@@ -29,6 +30,15 @@ from runexp.words import word_from_text
 
 def w(text, alphabet="abc"):
     return word_from_text(text, alphabet)
+
+
+ENGINES = {"python": runs_module._runs_python, "arrays": runs_module._runs_arrays}
+
+
+def engine_runs(engine, word):
+    """The runs of ``word`` from one engine, whatever its length."""
+    (starts, ends, periods), _ = ENGINES[engine](word.data)
+    return RunSet(starts + 1, ends + 1, periods)
 
 
 class TestExamples:
@@ -61,10 +71,6 @@ class TestExamples:
         with pytest.raises(ValueError, match="cap"):
             find_runs_bruteforce(w("ab" * 30), cap=10)
 
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            find_runs(w("abab"), engine="gpu")
-
 
 class TestRunType:
     def test_exponent(self):
@@ -88,8 +94,8 @@ class TestEngineAgreement:
             for bits in itertools.product("ab", repeat=length - 1):
                 word = w("a" + "".join(bits), "ab")
                 expected = find_runs_bruteforce(word).as_triples()
-                assert find_runs(word, engine="python").as_triples() == expected
-                assert find_runs(word, engine="arrays").as_triples() == expected
+                assert engine_runs("python", word).as_triples() == expected
+                assert engine_runs("arrays", word).as_triples() == expected
 
     def test_unary_and_one_letter_changed_up_to_300(self):
         rng = random.Random(5)
@@ -99,16 +105,16 @@ class TestEngineAgreement:
             for text in ("b" * length, changed):
                 word = w(text)
                 expected = find_runs_bruteforce(word).as_triples()
-                assert find_runs(word, engine="python").as_triples() == expected, text
-                assert find_runs(word, engine="arrays").as_triples() == expected, text
+                assert engine_runs("python", word).as_triples() == expected, text
+                assert engine_runs("arrays", word).as_triples() == expected, text
 
     @settings(max_examples=250, deadline=None)
     @given(st.text(alphabet="abc", min_size=2, max_size=260))
     def test_random_ternary(self, text):
         word = w(text)
         expected = find_runs_bruteforce(word).as_triples()
-        assert find_runs(word, engine="python").as_triples() == expected
-        assert find_runs(word, engine="arrays").as_triples() == expected
+        assert engine_runs("python", word).as_triples() == expected
+        assert engine_runs("arrays", word).as_triples() == expected
 
     @settings(max_examples=120, deadline=None)
     @given(st.text(alphabet="0123", min_size=2, max_size=120))
@@ -117,10 +123,12 @@ class TestEngineAgreement:
         assert find_runs(word).as_triples() == find_runs_bruteforce(word).as_triples()
 
     @settings(max_examples=80, deadline=None)
-    @given(st.text(alphabet="ab", min_size=260, max_size=400))
+    @given(st.text(alphabet="ab", min_size=SMALL_ENGINE_LIMIT, max_size=SMALL_ENGINE_LIMIT + 140))
     def test_arrays_path_is_the_default_above_the_cutoff(self, text):
         word = w(text, "ab")
-        assert find_runs(word).as_triples() == find_runs_bruteforce(word).as_triples()
+        runs, isa = runs_module._runs_and_ranks(word)
+        assert isinstance(isa, np.ndarray)  # the arrays engine's ranks
+        assert runs.as_triples() == find_runs_bruteforce(word).as_triples()
 
 
 class TestExtensionQueries:
@@ -162,7 +170,7 @@ class TestInverseSuffixArray:
         return isa
 
     def check(self, word, engine):
-        _, isa = runs_module._runs_and_ranks(word, engine)
+        _, isa = ENGINES[engine](word.data)
         assert isinstance(isa, list) == (engine == "python")
         assert np.asarray(isa).tolist() == self.sorted_suffix_ranks(word.data), word.text[:40]
 
@@ -189,7 +197,7 @@ class TestDuplicateCheck:
 
         monkeypatch.setattr(runs_module, "_sorted_runs", doubled)
         with pytest.raises(RuntimeError, match="twice"):
-            find_runs(w("aabaabaa"), engine=engine)
+            engine_runs(engine, w("aabaabaa"))
 
 
 class TestAboveOracleCap:
@@ -235,12 +243,24 @@ class TestAboveOracleCap:
             tracemalloc.stop()
         assert peak <= 12_801_875
 
+    def test_iteration_peak_traced_memory(self, member):
+        # Runs are made one at a time: copying the columns to lists peaked at 7.8 MB.
+        _, runs = member
+        tracemalloc.start()
+        try:
+            for _ in runs:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_engines_agree_on_long_random_words(self):
         rng = random.Random(11)
         for _ in range(12):
             alphabet = "abcd"[: rng.randint(1, 4)]
             word = w("".join(rng.choices(alphabet, k=rng.randint(256, 3000))), "abcd")
-            assert find_runs(word, engine="python") == find_runs(word, engine="arrays")
+            assert engine_runs("python", word) == engine_runs("arrays", word)
 
 
 def runset_digest(runs):
@@ -259,7 +279,7 @@ class TestPinnedDigests:
     def test_family_member(self, index, digest, engines):
         word = run_rich_word(index)
         for engine in engines:
-            assert runset_digest(find_runs(word, engine=engine)) == digest, engine
+            assert runset_digest(engine_runs(engine, word)) == digest, engine
 
 
 class TestRunSetInvariants:
