@@ -17,7 +17,6 @@ from .runs import (
     find_runs_bruteforce,
     fraction_to_decimal,
     run_stats,
-    sigma_as_decimal,
     validate_run,
     validate_runs,
 )
@@ -26,7 +25,6 @@ from .words import (
     Word,
     apply_morphism,
     iterate_morphism,
-    load_morphism_file,
     power,
     read_word_file,
     word_from_text,
@@ -55,14 +53,12 @@ __all__ = [
     "handles_of_run",
     "iterate_morphism",
     "load_family",
-    "load_morphism_file",
     "power",
     "read_word_file",
     "rotation_extremes",
     "run_rich_word",
     "run_stats",
     "shortest_period",
-    "sigma_as_decimal",
     "validate_run",
     "validate_runs",
     "verify_handle_properties",

@@ -26,13 +26,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .families import (
-    MAX_BUILTIN_INDEX,
-    builtin_family,
-    generate_member,
-    load_family,
-    predicted_length,
-)
+from .families import builtin_family, generate_member, load_family, predicted_length
 from .handles import verify_handle_properties
 from .reference import MAIN_FAMILY_REFERENCE
 from .runs import (
@@ -123,16 +117,16 @@ def emit_table(fmt: str, headers: Sequence[str], rows: Sequence[Sequence[str]], 
 # input resolution
 # ---------------------------------------------------------------------------
 
-def _literal_word(text: str) -> Word:
-    for pos, ch in enumerate(text, start=1):
-        if not 0x21 <= ord(ch) <= 0x7E:
-            raise ValueError(f"literal word has non-printable character at position {pos}")
-    return word_from_text(text, set(text))
-
-
 def physical_memory() -> int:
     """Bytes of physical memory on this machine."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _mb(nbytes: int) -> str:
+    """``nbytes`` in MB to one decimal, rounded half up in integers, so that
+    no byte count is too large to print."""
+    tenths = (nbytes * 10 + 2**19) // 2**20
+    return f"{tenths // 10:,}.{tenths % 10}"
 
 
 def admit(letters: int, what: str) -> None:
@@ -141,21 +135,16 @@ def admit(letters: int, what: str) -> None:
     available = physical_memory()
     if projected > available:
         raise UsageError(
-            f"{what} has {letters:,} letters: projected {projected / 2**20:,.1f} MB "
+            f"{what} has {letters:,} letters: projected {_mb(projected)} MB "
             f"({BYTES_PER_LETTER} B/letter) exceeds the memory cap, the "
-            f"{available / 2**20:,.1f} MB of physical memory"
+            f"{_mb(available)} MB of physical memory"
         )
 
 
 def _family_member(index: int, spec_path: str | None, copies: int = 1) -> tuple[Word, str]:
     """Member ``index`` of the built-in family or of the spec file,
     admitted at ``copies`` times its predicted length before it is built."""
-    if spec_path is None:
-        if not 1 <= index <= MAX_BUILTIN_INDEX:
-            raise ValueError(f"family index must be in 1..{MAX_BUILTIN_INDEX}, got {index}")
-        spec = builtin_family()
-    else:
-        spec = load_family(spec_path)
+    spec = builtin_family() if spec_path is None else load_family(spec_path)
     label = f"{spec.name}:{index}"
     what = label if copies == 1 else f"{label} to the power {copies}"
     admit(predicted_length(spec, index) * copies, what)
@@ -180,7 +169,7 @@ def resolve_word(arg: str, *, family_spec: str | None) -> tuple[Word, str]:
         return read_word_file(arg), arg
     if os.sep in arg:
         raise OSError(f"no such file: {arg}")
-    return _literal_word(arg), arg
+    return word_from_text(arg, set(arg)), arg
 
 
 def _usage_error(message: str) -> int:
@@ -385,8 +374,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
     target = thresholds.lower_bound_target
     if args.power < 1:
         return _usage_error(f"--power must be >= 1, got {args.power}")
-    if not 1 <= args.index <= len(MAIN_FAMILY_REFERENCE):
-        return _usage_error(f"--index must be in 1..{len(MAIN_FAMILY_REFERENCE)}, got {args.index}")
     member, _ = _family_member(args.index, None, copies=args.power)
     word = power(member, args.power)
     stats = run_stats(word, find_runs(word))

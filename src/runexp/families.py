@@ -11,6 +11,7 @@ constructions can be analyzed without code changes.
 from __future__ import annotations
 
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -19,7 +20,6 @@ from .words import Morphism, Word, apply_morphism, iterate_morphism, parse_rule_
 
 __all__ = [
     "FamilySpec",
-    "MAX_BUILTIN_INDEX",
     "builtin_family",
     "run_rich_word",
     "generate_member",
@@ -27,21 +27,18 @@ __all__ = [
     "load_family",
 ]
 
-MAX_BUILTIN_INDEX = 10
-
 _INNER_RULES = {"a": "baaba", "b": "ca", "c": "bca"}
 _OUTER_RULES = {"a": "01011", "b": "01001011", "c": "01001011"}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Inner endomorphism + outer coding + seed; source is built-in or file."""
+    """Inner endomorphism + outer coding + seed."""
 
     name: str
     inner: Morphism
     outer: Morphism
     seed: Word
-    source: str
 
     def __post_init__(self):
         if not self.inner.is_endomorphism():
@@ -60,18 +57,12 @@ def builtin_family() -> FamilySpec:
         inner=Morphism(_INNER_RULES),
         outer=Morphism(_OUTER_RULES),
         seed=word_from_text("a", "abc"),
-        source="built-in",
     )
 
 
-def run_rich_word(i: int, *, max_index: int = MAX_BUILTIN_INDEX) -> Word:
-    """Member i of the built-in family, a binary word.
-
-    Lengths grow roughly 3.8x per index; i = 10 is ~5.2 million
-    letters, so the cap defaults to 10.
-    """
-    if not 1 <= i <= max_index:
-        raise ValueError(f"family index must be in 1..{max_index}, got {i}")
+def run_rich_word(i: int) -> Word:
+    """Member i of the built-in family, a binary word; lengths grow
+    roughly 3.8x per index."""
     return generate_member(builtin_family(), i)
 
 
@@ -80,7 +71,10 @@ def predicted_length(spec: FamilySpec, i: int) -> int:
 
     Evolves the seed's letter counts through the inner rules i times,
     then weighs by outer image lengths; O(i * alphabet^2) with exact
-    integers, no word is materialized.
+    integers, no word is materialized. Images are nonempty, so the inner
+    word never shrinks and the member is at least as long: once the inner
+    word passes sys.maxsize letters no bytes object can hold the member,
+    and the index is refused there instead of growing the counts further.
     """
     if i < 0:
         raise ValueError(f"family index must be >= 0, got {i}")
@@ -91,6 +85,8 @@ def predicted_length(spec: FamilySpec, i: int) -> int:
             for target in spec.inner.image_of(sym):
                 step[target] += c
         counts = step
+        if counts.total() > sys.maxsize:
+            raise ValueError(f"{spec.name}:{i} has more than {sys.maxsize:,} letters")
     return sum(c * len(spec.outer.image_of(sym)) for sym, c in counts.items())
 
 
@@ -174,6 +170,6 @@ def load_family(path) -> FamilySpec:
     base = os.path.splitext(os.path.basename(label))[0]
     try:
         seed = word_from_text(seed_text, inner.source_alphabet)
-        return FamilySpec(name=name or base, inner=inner, outer=outer, seed=seed, source="file")
+        return FamilySpec(name=name or base, inner=inner, outer=outer, seed=seed)
     except ValueError as exc:
         raise ValueError(f"{label}: {exc}") from None

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 __all__ = [
     "ReferenceRow",
-    "MAIN_FAMILY_LENGTHS",
     "MAIN_FAMILY_REFERENCE",
     "EXTERNAL_FAMILY_REFERENCE",
 ]
@@ -43,8 +42,6 @@ MAIN_FAMILY_REFERENCE: tuple[ReferenceRow, ...] = (
     ReferenceRow(9, 1373693, None, "2795792.39", "2.0352"),
     ReferenceRow(10, 5208071, None, "10599765.15", "2.0353"),
 )
-
-MAIN_FAMILY_LENGTHS: tuple[int, ...] = tuple(r.n for r in MAIN_FAMILY_REFERENCE)
 
 EXTERNAL_FAMILY_REFERENCE: dict[str, tuple[ReferenceRow, ...]] = {
     "x": (

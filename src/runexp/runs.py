@@ -38,7 +38,6 @@ __all__ = [
     "find_runs",
     "find_runs_bruteforce",
     "run_stats",
-    "sigma_as_decimal",
     "fraction_to_decimal",
     "validate_run",
     "validate_runs",
@@ -348,10 +347,7 @@ def _runs_and_ranks(w: Word):
     that its engine built: a list from the Python engine, an int32 array
     from the arrays engine. The engine follows from the length alone."""
     data = w.data
-    n = len(data)
-    if n < 2:
-        return RunSet.from_runs([]), list(range(n))
-    engine = _runs_python if n < SMALL_ENGINE_LIMIT else _runs_arrays
+    engine = _runs_python if len(data) < SMALL_ENGINE_LIMIT else _runs_arrays
     (starts, ends, periods), isa = engine(data)
     return RunSet(starts + 1, ends + 1, periods), isa
 
@@ -488,15 +484,6 @@ def fraction_to_decimal(value: Fraction, digits: int, *, rounding: str = "half-u
     whole, frac = divmod(q, scale)
     text = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
     return f"-{text}" if negative and q else text
-
-
-def sigma_as_decimal(stats: RunStats, digits: int = 2) -> str:
-    """Half-up decimal rendering of the exact exponent sum.
-
-    The exact fraction itself is ``stats.sigma``; callers that need both
-    should print that alongside.
-    """
-    return fraction_to_decimal(stats.sigma, digits)
 
 
 def run_listing_lines(runs: RunSet) -> Iterator[str]:

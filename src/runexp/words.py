@@ -17,12 +17,11 @@ __all__ = [
     "power",
     "read_word_file",
     "write_word_file",
-    "parse_morphism_rules",
-    "load_morphism_file",
 ]
 
-# Symbols are single printable ASCII characters (0x20..0x7E).
-_PRINTABLE = frozenset(chr(c) for c in range(0x20, 0x7F))
+# Symbols are single printable ASCII characters other than space (0x21..0x7E),
+# the letters a word file may hold.
+_PRINTABLE = frozenset(chr(c) for c in range(0x21, 0x7F))
 
 
 def _as_alphabet(symbols: Iterable[str]) -> frozenset[str]:
@@ -48,9 +47,9 @@ class Word:
     alphabet: frozenset[str]
 
     def __init__(self, data: bytes | str, alphabet: Iterable[str]):
+        alpha = _as_alphabet(alphabet)
         if isinstance(data, str):
             data = data.encode("ascii")
-        alpha = _as_alphabet(alphabet)
         allowed = {ord(sym) for sym in alpha}
         if not set(data) <= allowed:
             # Locate the first offender only on the failure path.
@@ -117,7 +116,7 @@ class Morphism:
                 raise ValueError(f"rule for {sym!r} has an empty image")
             for ch in image:
                 if ch not in _PRINTABLE:
-                    raise ValueError(f"rule for {sym!r} contains non-ASCII letter {ch!r}")
+                    raise ValueError(f"rule for {sym!r} contains non-printable letter {ch!r}")
             clean[sym] = image
             target.update(image)
         table: list[bytes | None] = [None] * 256
@@ -239,31 +238,3 @@ def parse_rule_line(line: str) -> tuple[str, str]:
     if not image:
         raise ValueError(f"rule for {sym!r} has an empty image")
     return sym, image
-
-
-def parse_morphism_rules(lines: Iterable[str], *, origin: str = "<input>") -> Morphism:
-    """Parse line-oriented ``X -> image`` rules into a Morphism.
-
-    Blank lines and lines starting with ``#`` are skipped. Errors carry
-    the 1-based line number.
-    """
-    rules: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            sym, image = parse_rule_line(stripped)
-        except ValueError as exc:
-            raise ValueError(f"{origin}: line {lineno}: {exc}") from None
-        if sym in rules:
-            raise ValueError(f"{origin}: line {lineno}: duplicate rule for {sym!r}")
-        rules[sym] = image
-    if not rules:
-        raise ValueError(f"{origin}: no rules found")
-    return Morphism(rules)
-
-
-def load_morphism_file(path) -> Morphism:
-    with open(path, "r", encoding="ascii") as f:
-        return parse_morphism_rules(f, origin=str(path))

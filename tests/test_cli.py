@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -166,11 +167,49 @@ class TestAnalyze:
         assert code == 2
         assert projected(10_001) in err
 
+    @pytest.mark.parametrize("argv", [
+        ("generate", "11"),
+        ("analyze", "family:11"),
+        ("certify-lower-bound", "--index", "11"),
+    ])
+    def test_member_11_refused_by_the_memory_gate_alone(self, capsys, monkeypatch, memory_mb, argv):
+        memory_mb(1000)  # member 10 (745 MB projected) fits, member 11 does not
+        monkeypatch.setattr("runexp.cli.generate_member", never)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "run-rich:11 has 19,745,303 letters" in err
+        assert projected(19_745_303) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "1000000"),
+        ("analyze", "family:1000000"),
+        ("analyze", "family:2000", "--family-spec", "FIB"),
+        ("certify-lower-bound", "--index", "1", "--power", str(10**400)),
+    ])
+    def test_huge_input_refused_quickly(self, capsys, monkeypatch, tmp_path, argv):
+        spec = tmp_path / "fib.fam"
+        spec.write_text("seed = a\n[inner]\na -> ab\nb -> a\n")
+        monkeypatch.setattr("runexp.cli.generate_member", never)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *(str(spec) if a == "FIB" else a for a in argv))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
     def test_input_within_memory_is_admitted(self, capsys, memory_mb):
         memory_mb(6647 * BYTES_PER_LETTER / 2**20)
         code, out, _ = run_cli(capsys, "analyze", "family:5", "--format", "json")
         assert code == 0
         assert json.loads(out)["n"] == 6647
+
+    def test_space_is_not_a_letter(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "a b")
+        assert code == 2
+        assert out == ""
+        assert "' '" in err
 
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
         def exhausted(word):
@@ -198,9 +237,15 @@ class TestGenerateAndRuns:
         assert json.loads(out)["n"] == 119
 
     def test_generate_out_of_range(self, capsys):
-        code, _, err = run_cli(capsys, "generate", "11")
+        code, _, err = run_cli(capsys, "generate", "-1")
         assert code == 2
-        assert "1..10" in err
+        assert "must be >= 0" in err
+
+    def test_generate_member_zero(self, capsys):
+        # every family follows one index rule, i >= 0: member 0 is the coded seed
+        code, out, _ = run_cli(capsys, "generate", "0")
+        assert code == 0
+        assert out == "01011\n"
 
     def test_runs_listing(self, capsys):
         code, out, _ = run_cli(capsys, "runs", "aabaabaa")

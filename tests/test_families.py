@@ -5,14 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from runexp.families import (
     FamilySpec,
-    MAX_BUILTIN_INDEX,
     builtin_family,
     generate_member,
     load_family,
     predicted_length,
     run_rich_word,
 )
-from runexp.reference import MAIN_FAMILY_LENGTHS
+from runexp.reference import MAIN_FAMILY_REFERENCE
 from runexp.words import Morphism, word_from_text
 
 
@@ -22,28 +21,31 @@ class TestBuiltinFamily:
         assert fam.inner.is_endomorphism()
         assert fam.outer.source_alphabet == fam.inner.source_alphabet
         assert fam.seed.text == "a"
-        assert fam.source == "built-in"
 
     def test_first_member(self):
         word = run_rich_word(1)
         assert len(word) == 31
         assert word.alphabet == frozenset("01")
 
-    @pytest.mark.parametrize("i", range(1, 7))
-    def test_lengths_match_published_values(self, i):
-        assert len(run_rich_word(i)) == MAIN_FAMILY_LENGTHS[i - 1]
+    @pytest.mark.parametrize("ref", MAIN_FAMILY_REFERENCE[:6], ids=lambda r: str(r.index))
+    def test_lengths_match_published_values(self, ref):
+        assert len(run_rich_word(ref.index)) == ref.n
 
-    @pytest.mark.parametrize("i", range(1, 11))
-    def test_predicted_lengths_match_published_values(self, i):
+    @pytest.mark.parametrize("ref", MAIN_FAMILY_REFERENCE, ids=lambda r: str(r.index))
+    def test_predicted_lengths_match_published_values(self, ref):
         # cheap check covering all ten indices without generating megabytes
-        assert predicted_length(builtin_family(), i) == MAIN_FAMILY_LENGTHS[i - 1]
+        assert predicted_length(builtin_family(), ref.index) == ref.n
 
     def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            run_rich_word(0)
-        with pytest.raises(ValueError):
-            run_rich_word(MAX_BUILTIN_INDEX + 1)
-        assert len(run_rich_word(9, max_index=9)) == MAIN_FAMILY_LENGTHS[8]
+        # one index rule for every family: i >= 0, member 0 is the coded seed
+        assert run_rich_word(0).text == "01011"
+        with pytest.raises(ValueError, match=">= 0"):
+            run_rich_word(-1)
+
+    def test_member_past_sys_maxsize_refused(self):
+        # the inner word passes sys.maxsize letters after about 33 steps
+        with pytest.raises(ValueError, match="run-rich:100000 has more than"):
+            predicted_length(builtin_family(), 100_000)
 
 
 class TestFamilySpecValidation:
@@ -54,7 +56,6 @@ class TestFamilySpecValidation:
                 inner=Morphism({"a": "ab"}),
                 outer=Morphism({"a": "0"}),
                 seed=word_from_text("a", "a"),
-                source="file",
             )
 
     def test_outer_alphabet_must_match(self):
@@ -64,7 +65,6 @@ class TestFamilySpecValidation:
                 inner=Morphism({"a": "aa"}),
                 outer=Morphism({"b": "0"}),
                 seed=word_from_text("a", "a"),
-                source="file",
             )
 
     def test_seed_must_fit_inner_alphabet(self):
@@ -74,7 +74,6 @@ class TestFamilySpecValidation:
                 inner=Morphism({"a": "aa"}),
                 outer=Morphism({"a": "0"}),
                 seed=word_from_text("x", "x"),
-                source="file",
             )
 
     def test_generate_rejects_negative_index(self):
@@ -98,7 +97,6 @@ def test_predicted_length_matches_generation(rules, seed_text, i):
         inner=Morphism(rules),
         outer=Morphism({"a": "xy", "b": "z"}),
         seed=word_from_text(seed_text, "ab"),
-        source="file",
     )
     assert len(generate_member(spec, i)) == predicted_length(spec, i)
 
@@ -109,7 +107,6 @@ class TestFamilyFiles:
         path.write_text("seed = a\n[inner]\na -> ab\nb -> a\n")
         spec = load_family(path)
         assert spec.name == "fib"
-        assert spec.source == "file"
         # omitted [outer] means the identity coding
         assert spec.outer.image_of("a") == "a"
         assert generate_member(spec, 5).text == "abaababaabaab"
@@ -150,6 +147,7 @@ class TestFamilyFiles:
             ("mode = fast\nseed = a\n[inner]\na -> a\n", "unknown key"),
             ("seed = a\n[inner]\nab -> a\n", "single symbol"),
             ("seed = ax\n[inner]\na -> a\n", "position 2"),
+            ("seed = a\n[inner]\na -> a\n[outer]\na -> 0 1\n", "non-printable letter ' '"),
         ],
     )
     def test_malformed_files(self, tmp_path, content, message):

@@ -21,7 +21,6 @@ from runexp.runs import (
     fraction_to_decimal,
     run_listing_lines,
     run_stats,
-    sigma_as_decimal,
     validate_run,
     validate_runs,
 )
@@ -384,7 +383,7 @@ class TestDecimalRendering:
 
     def test_sigma_as_decimal(self):
         word = w("aabaabaa")
-        assert sigma_as_decimal(run_stats(word, find_runs(word))) == "8.67"
+        assert fraction_to_decimal(run_stats(word, find_runs(word)).sigma, 2) == "8.67"
 
     @given(st.fractions(), st.integers(0, 6))
     def test_half_up_error_is_at_most_half_ulp(self, frac, digits):

@@ -8,8 +8,6 @@ from runexp.words import (
     Word,
     apply_morphism,
     iterate_morphism,
-    load_morphism_file,
-    parse_morphism_rules,
     parse_rule_line,
     power,
     read_word_file,
@@ -200,20 +198,3 @@ class TestMorphismFiles:
             parse_rule_line("ab -> x")
         with pytest.raises(ValueError):
             parse_rule_line("a -> ")
-
-    def test_parse_rules_skips_blanks_and_comments(self):
-        m = parse_morphism_rules(["# inner", "", "a -> ab", "b -> a"])
-        assert m.image_of("a") == "ab"
-
-    def test_parse_rules_reports_line_number(self):
-        with pytest.raises(ValueError, match="line 3"):
-            parse_morphism_rules(["a -> ab", "", "broken"])
-
-    def test_duplicate_rule_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            parse_morphism_rules(["a -> ab", "a -> b"])
-
-    def test_load_file(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("a -> baaba\nb -> ca\nc -> bca\n")
-        assert load_morphism_file(path) == INNER
