@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -122,10 +123,26 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _count(value: int) -> str:
+    """``value`` with thousands separators, or, past 30 digits, its digit count,
+    so that a refusal stays one short line however large its numbers."""
+    size = abs(value)
+    if size < 10**30:
+        return f"{value:,}"
+    digits = int((size.bit_length() - 1) * math.log10(2)) + 1
+    while size >= 10**digits:
+        digits += 1
+    while size < 10 ** (digits - 1):
+        digits -= 1
+    return f"{'-' if value < 0 else ''}[{digits:,} digits]"
+
+
 def _mb(nbytes: int) -> str:
     """``nbytes`` in MB to one decimal, rounded half up in integers, so that
     no byte count is too large to print."""
     tenths = (nbytes * 10 + 2**19) // 2**20
+    if tenths >= 10**31:
+        return _count(tenths // 10)
     return f"{tenths // 10:,}.{tenths % 10}"
 
 
@@ -135,7 +152,7 @@ def admit(letters: int, what: str) -> None:
     available = physical_memory()
     if projected > available:
         raise UsageError(
-            f"{what} has {letters:,} letters: projected {_mb(projected)} MB "
+            f"{what} has {_count(letters)} letters: projected {_mb(projected)} MB "
             f"({BYTES_PER_LETTER} B/letter) exceeds the memory cap, the "
             f"{_mb(available)} MB of physical memory"
         )
@@ -146,7 +163,7 @@ def _family_member(index: int, spec_path: str | None, copies: int = 1) -> tuple[
     admitted at ``copies`` times its predicted length before it is built."""
     spec = builtin_family() if spec_path is None else load_family(spec_path)
     label = f"{spec.name}:{index}"
-    what = label if copies == 1 else f"{label} to the power {copies}"
+    what = label if copies == 1 else f"{label} to the power {_count(copies)}"
     admit(predicted_length(spec, index) * copies, what)
     return generate_member(spec, index), label
 
@@ -373,7 +390,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     thresholds = _parse_threshold_overrides(args.threshold)
     target = thresholds.lower_bound_target
     if args.power < 1:
-        return _usage_error(f"--power must be >= 1, got {args.power}")
+        return _usage_error(f"--power must be >= 1, got {_count(args.power)}")
     member, _ = _family_member(args.index, None, copies=args.power)
     word = power(member, args.power)
     stats = run_stats(word, find_runs(word))

@@ -9,9 +9,11 @@ before it, are longest-Lyndon prefixes. Order 0 is the given letter
 order with the end of the word lowest, and also serves runs that end
 the word; order 1 is the reversed letter order with the end of the word
 highest, which reverses every suffix comparison. One suffix array
-suffices: both Lyndon arrays come from it, and the ranks of its prefix-
-doubling rounds (the rank of every 2^k-letter block) answer the left and
-right extension queries by binary lifting. Each run is reported exactly
+suffices: both Lyndon arrays come from it, as next-smaller-rank searches
+over a tree of block minima, and the ranks of its prefix-doubling rounds
+(the rank of every 2^k-letter block; the early rounds need no sort) answer
+the left and right extension queries by binary lifting. The arrays engine
+has no Python loop over positions. Each run is reported exactly
 once, from its leftmost root (left extension < p) in its own order, so
 no dedup pass is needed; a repeated interval is an internal error. The
 brute-force engine applies the definition to every interval and serves
@@ -23,6 +25,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -48,8 +51,10 @@ __all__ = [
 # Inputs shorter than this are processed with plain-Python primitives;
 # the quadratic worst case is harmless at this size and the per-call
 # numpy overhead dominates otherwise. Both paths run the same algorithm.
-# On random binary words the arrays engine is faster from about 352 letters.
-SMALL_ENGINE_LIMIT = 352
+# On random words over 1-4 letters, taken in equal shares, the arrays
+# engine is faster from about 600 letters (binary words from about 450,
+# unary words only from about 1,200).
+SMALL_ENGINE_LIMIT = 600
 
 # Positions per step of the arrays engine's extension queries.
 _BLOCK = 1 << 16
@@ -162,24 +167,51 @@ def _prefix_doubling(codes: np.ndarray) -> Iterator[np.ndarray]:
     suffix array. No common extension of two positions is as long as the
     blocks of that last round, so adding 2^k for each equal pair of blocks,
     longest blocks first, gives it exactly.
+
+    Each round gives dense ranks to the packed keys rank * (top + 2) + r + 1,
+    r the rank k places on (-1 past the end). While the keys fit in a
+    table of 2n entries, the ranks are a prefix sum over the keys present,
+    with no sort; later rounds sort the keys, and equal pairs have equal
+    keys, so no stable sort is needed. A level is int16 while its ranks
+    fit (the extension queries only compare them); the last level, the
+    inverse suffix array, is int32.
     """
     n = int(codes.size)
-    rank = np.full(n + 1, -1, dtype=np.int32)
+    rank = np.full(n + 1, -1, dtype=np.int16)
     rank[:n] = codes
+    top = int(codes.max(initial=0))
     k = 1
     while True:
         yield rank
-        # Sort on one packed key: rank, then the rank k places on (0 past the end).
-        key = rank[:n].astype(np.int64) * (int(rank.max()) + 2)
-        key[: n - k] += rank[k:n] + 1
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        bump = np.empty(n, dtype=np.int32)
-        bump[0] = 0
-        bump[1:] = key[1:] != key[:-1]
-        rank = np.full(n + 1, -1, dtype=np.int32)
-        rank[order] = np.cumsum(bump, dtype=np.int32)
-        if int(rank[order[-1]]) == n - 1:
+        span = top + 2
+        key = rank[:n].astype(np.int64)
+        key *= span
+        key[: n - k] += rank[k:n]
+        key[: n - k] += 1
+        if span * span <= 2 * n:
+            seen = np.zeros(span * span, dtype=np.int32)
+            seen[key] = 1
+            np.cumsum(seen, out=seen)
+            top = int(seen[-1]) - 1
+            dense = seen[key]
+            dense -= 1
+            del seen
+        else:
+            order = np.argsort(key)
+            key = key[order]
+            bump = np.empty(n, dtype=np.int32)
+            bump[0] = 0
+            np.not_equal(key[1:], key[:-1], out=bump[1:])
+            dense = np.empty(n, dtype=np.int32)
+            dense[order] = np.cumsum(bump, dtype=np.int32)
+            top = int(dense[order[-1]])
+            del order, bump
+        del key
+        done = top == n - 1
+        rank = np.full(n + 1, -1, dtype=np.int32 if done or top >= 0x7FFF else np.int16)
+        rank[:n] = dense
+        del dense
+        if done:
             yield rank
             return
         k <<= 1
@@ -212,7 +244,9 @@ def _lyndon_lengths(rank) -> array:
     *greater* suffix, which gives order 1: reversed letters with the end
     of the word highest. There the value is the longest Lyndon prefix
     wherever the comparison is settled before the end of the word, which
-    holds at the roots of every run that order is asked for.
+    holds at the roots of every run that order is asked for. A stack
+    pass in Python: the Python engine's, and the test oracle of
+    :func:`_next_smaller`, which the arrays engine uses.
     """
     n = len(rank)
     lam = array("i", bytes(4 * n))
@@ -231,7 +265,64 @@ def _lyndon_lengths(rank) -> array:
     return lam
 
 
-def _runs_of_order(lam: array, order: int, levels: list[np.ndarray]):
+def _next_smaller(rank: np.ndarray) -> np.ndarray:
+    """:func:`_lyndon_lengths` over numpy ranks, with no Python loop per position.
+
+    A tree of aligned-block minima holds, at level j, the least rank in
+    each block of 2^j positions. The word is followed by -1, so the block
+    holding position n is -1 at every level; the levels take about 2n
+    int32 in all. The search from position i stands at the start of a
+    block, first block i + 1 of level 0. It ascends: while the block's
+    minimum is not below the rank of i, it skips the block and moves to
+    the parent of the block after it; that parent starts where the
+    skipped block ended. The block that stops the ascent holds the
+    answer, its first position of lower rank: the search descends to it,
+    taking the left child whenever that child's minimum is below the
+    rank. Positions are searched ``_BLOCK`` at a time.
+    """
+    n = int(rank.size)
+    sizes = [(n >> j) + 1 for j in range(max(n.bit_length(), 1))]
+    offsets = list(accumulate(sizes, initial=0))
+    tree = np.empty(offsets[-1], dtype=np.int32)
+    tree[:n] = rank
+    for j, (off, size) in enumerate(zip(offsets, sizes)):
+        if j:
+            below = tree[offsets[j - 1] : offsets[j - 1] + 2 * (size - 1)]
+            np.minimum(below[0::2], below[1::2], out=tree[off : off + size - 1])
+        tree[off + size - 1] = -1
+    lam = np.empty(n, dtype=np.int32)
+    for lo in range(0, n, _BLOCK):
+        pos = np.arange(lo, min(lo + _BLOCK, n))
+        v = tree[pos]
+        b = pos + 1
+        stopped = []  # per level that stopped some ascents: level, blocks, ranks, positions
+        for j, off in enumerate(offsets[:-1]):
+            stop = tree[off + b] < v
+            if stop.any():
+                stopped.append((j, b[stop], v[stop], pos[stop]))
+                go = ~stop
+                pos, v, b = pos[go], v[go], b[go]
+                if not pos.size:
+                    break
+            b += 1
+            b >>= 1
+        # Descend all at once, highest stopping level first: the positions
+        # still descending at level j are a prefix.
+        stopped.reverse()
+        c, v, pos = (np.concatenate(col) for col in list(zip(*stopped))[1:])
+        ends = list(accumulate(g[1].size for g in stopped))
+        g = 0
+        for j in range(stopped[0][0] - 1, -1, -1):
+            while g + 1 < len(stopped) and stopped[g + 1][0] > j:
+                g += 1
+            head = c[: ends[g]]
+            head <<= 1
+            head += tree[offsets[j] + head] >= v[: ends[g]]
+        lam[pos] = c - pos
+    return lam
+
+
+def _runs_of_order(lam: np.ndarray, order: int, levels: list[np.ndarray]):
     """Runs whose leftmost Lyndon root in letter order ``order`` is found by ``lam``.
 
     Returns 0-based (start, end, period) columns. Positions are taken in
@@ -239,7 +330,6 @@ def _runs_of_order(lam: array, order: int, levels: list[np.ndarray]):
     """
     codes = levels[0]  # the letters, with -1 past the end
     n = codes.size - 1
-    lam = np.frombuffer(lam, dtype=np.int32)
     cols = []
     for lo in range(0, n, _BLOCK):
         a = np.arange(lo, min(lo + _BLOCK, n), dtype=np.int32)
@@ -275,7 +365,7 @@ def _runs_arrays(data: bytes):
     n = len(data)
     levels = list(_prefix_doubling(np.frombuffer(data, dtype=np.uint8)))
     isa = levels[-1][:n]
-    lams = [_lyndon_lengths(array("i", r.tobytes())) for r in (isa, (n - 1) - isa)]
+    lams = [_next_smaller(isa), _next_smaller((n - 1) - isa)]
     cols = [c for order, lam in enumerate(lams) for c in _runs_of_order(lam, order, levels)]
     # A copy, not a view: a view would keep the last level's buffer alive on the heap.
     isa = isa.copy()

@@ -21,7 +21,8 @@ __all__ = [
 
 # Symbols are single printable ASCII characters other than space (0x21..0x7E),
 # the letters a word file may hold.
-_PRINTABLE = frozenset(chr(c) for c in range(0x21, 0x7F))
+_FILE_BYTES = frozenset(range(0x21, 0x7F))
+_PRINTABLE = frozenset(map(chr, _FILE_BYTES))
 
 
 def _as_alphabet(symbols: Iterable[str]) -> frozenset[str]:
@@ -210,13 +211,13 @@ def read_word_file(path, alphabet: Iterable[str] | None = None) -> Word:
         raw = f.read()
     if raw.endswith(b"\n"):
         raw = raw[:-1]
-    for pos, byte in enumerate(raw, start=1):
-        if not (0x21 <= byte <= 0x7E):
-            raise ValueError(
-                f"{path}: byte {byte:#04x} at position {pos} is not allowed in a word file"
-            )
+    distinct = set(raw)
+    if not distinct <= _FILE_BYTES:
+        # Locate the first offender only on the failure path.
+        pos, byte = next((pos, b) for pos, b in enumerate(raw, start=1) if b not in _FILE_BYTES)
+        raise ValueError(f"{path}: byte {byte:#04x} at position {pos} is not allowed in a word file")
     if alphabet is None:
-        alphabet = {chr(b) for b in set(raw)}
+        alphabet = {chr(b) for b in distinct}
     return Word(raw, alphabet)
 
 

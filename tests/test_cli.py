@@ -421,6 +421,20 @@ class TestCertify:
         assert "run-rich:5 to the power 3 has 19,941 letters" in err
         assert projected(19_941) in err
 
+    @pytest.mark.parametrize("power, shown", [
+        (10**4298, "to the power [4,299 digits] has [4,300 digits] letters"),
+        (-(10**4298), "--power must be >= 1, got -[4,299 digits]"),
+        (10**29 + 1, "to the power 100,000,000,000,000,000,000,000,000,001 has "),
+    ])
+    def test_huge_power_refused_in_one_short_line(self, capsys, monkeypatch, power, shown):
+        monkeypatch.setattr("runexp.cli.generate_member", never)
+        code, out, err = run_cli(capsys, "certify-lower-bound", "--index", "1", "--power", str(power))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert len(err.encode()) < 300
+        assert shown in err
+
     def test_huge_power_capped(self, capsys):
         code, _, err = run_cli(capsys, "certify-lower-bound", "--power", "1000000")
         assert code == 2

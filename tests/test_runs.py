@@ -158,6 +158,108 @@ class TestExtensionQueries:
             assert left[k] == lcs, (text, i, j)
 
 
+def sorted_levels(codes):
+    """Prefix doubling by stable sorts of the packed keys: the reference ranks."""
+    n = codes.size
+    rank = np.full(n + 1, -1, dtype=np.int64)
+    rank[:n] = codes
+    k, levels = 1, [rank]
+    while True:
+        key = rank[:n] * (int(rank.max()) + 2)
+        key[: n - k] += rank[k:n] + 1
+        order = np.argsort(key, kind="stable")
+        bump = np.concatenate([[0], np.diff(key[order]) != 0])
+        rank = np.full(n + 1, -1, dtype=np.int64)
+        rank[order] = np.cumsum(bump)
+        levels.append(rank)
+        if rank.max() == n - 1:
+            return levels
+        k <<= 1
+
+
+class TestPrefixDoubling:
+    """Every level, sort-free or sorted, int16 or int32, against stable-sort ranks."""
+
+    def check(self, data):
+        codes = np.frombuffer(data, dtype=np.uint8)
+        levels = list(runs_module._prefix_doubling(codes))
+        expected = sorted_levels(codes)
+        assert len(levels) == len(expected)
+        for level, ranks in zip(levels, expected):
+            assert np.array_equal(level, ranks)
+            assert level.dtype == (np.int16 if level is not levels[-1] and ranks.max() < 0x7FFF else np.int32)
+        return levels
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(alphabet="abcd", min_size=1, max_size=3000))
+    def test_random_words(self, text):
+        self.check(text.encode())
+
+    @pytest.mark.parametrize("index", [5, 7])
+    def test_family_members(self, index):
+        self.check(run_rich_word(index).data)
+
+    def test_level_past_int16(self):
+        # 70,000 random binary letters: 16-letter blocks take about 43,000
+        # ranks, more than int16 holds, and are not yet all distinct.
+        data = bytes(random.Random(3).choices(b"ab", k=70_000))
+        levels = self.check(data)
+        assert any(lv.dtype == np.int32 and 0x7FFF < lv.max() < len(data) - 1 for lv in levels)
+
+    def test_all_letters_distinct(self):
+        levels = self.check(bytes(range(0x7E, 0x20, -1)))
+        assert len(levels) == 2
+
+
+def binary_words(max_length):
+    for length in range(1, max_length + 1):
+        for bits in itertools.product(b"ab", repeat=length):
+            yield bytes(bits)
+
+
+class TestNextSmaller:
+    """The tree search of the arrays engine against the stack pass, in both orders."""
+
+    @staticmethod
+    def check(data):
+        n = len(data)
+        isa = list(runs_module._prefix_doubling(np.frombuffer(data, dtype=np.uint8)))[-1][:n]
+        for rank in (isa, (n - 1) - isa):
+            got = runs_module._next_smaller(rank)
+            assert got.dtype == np.int32
+            assert got.tolist() == list(runs_module._lyndon_lengths(rank.tolist())), data[:40]
+
+    def test_every_binary_word_up_to_12(self):
+        for data in binary_words(12):
+            self.check(data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.text(alphabet="abcd"[:k], min_size=1, max_size=3000)))
+    def test_random_words(self, text):
+        self.check(text.encode())
+
+    @pytest.mark.parametrize("data", [b"a" + b"b" * 5000, b"b" * 5000 + b"a", b"a" * 5000])
+    def test_long_descents(self, data):
+        # In a+b^k every b's next greater suffix is the end of the word.
+        self.check(data)
+
+    @pytest.mark.parametrize("index", range(1, 8))
+    def test_family_members(self, index):
+        self.check(run_rich_word(index).data)
+
+    def test_arrays_engine_takes_no_stack_pass(self, monkeypatch):
+        def forbidden(rank):
+            raise AssertionError("the arrays engine called _lyndon_lengths")
+
+        word = run_rich_word(5)
+        assert len(word) >= SMALL_ENGINE_LIMIT
+        expected = find_runs(word)
+        monkeypatch.setattr(runs_module, "_lyndon_lengths", forbidden)
+        assert find_runs(word) == expected
+        with pytest.raises(AssertionError, match="_lyndon_lengths"):
+            engine_runs("python", word)  # the patch is in force
+
+
 class TestInverseSuffixArray:
     """The ranks each engine hands to the handle suite, against sorted suffixes."""
 
@@ -274,6 +376,7 @@ class TestPinnedDigests:
         (3, "67fa0d4e1edf7e351d3862bd5d397a6d2096a191e573d900f1558d55fd2f1aca", ("python", "arrays")),
         (4, "5b0e9637667bc593c7b55df3f75f683e00ad4e9608466a6374df94336e551911", ("python", "arrays")),
         (7, "0f024bf52c60b1c8249c0cb9f88a3a3dbd9b7956d413de87d685c01ee2459d10", ("arrays",)),
+        (8, "0a4abb989224b82b580dd8b665d3049fff9387970a7d9aab92650fd6d21c448d", ("arrays",)),
     ])
     def test_family_member(self, index, digest, engines):
         word = run_rich_word(index)

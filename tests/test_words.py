@@ -180,6 +180,18 @@ class TestWordFiles:
         with pytest.raises(ValueError, match="position 3"):
             read_word_file(path)
 
+    @pytest.mark.parametrize("pos", [1, 5000, 10_000])
+    @pytest.mark.parametrize("bad", [b"\t", b"\x7f", b"\xff"])
+    def test_bad_byte_named_with_its_position(self, tmp_path, pos, bad):
+        raw = bytearray(b"ab" * 5000)
+        raw[pos - 1 : pos] = bad
+        path = tmp_path / "w.txt"
+        path.write_bytes(bytes(raw) + b"\n")
+        expected = f"{path}: byte {bad[0]:#04x} at position {pos} is not allowed in a word file"
+        with pytest.raises(ValueError) as err:
+            read_word_file(path)
+        assert str(err.value) == expected
+
     def test_alphabet_enforced_when_given(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_bytes(b"abc\n")
