@@ -20,14 +20,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .families import builtin_family, generate_member, load_family, predicted_length
+from .families import builtin_family, count_text, generate_member, load_family, predicted_length
 from .handles import verify_handle_properties
 from .reference import MAIN_FAMILY_REFERENCE
 from .runs import (
@@ -65,6 +64,11 @@ class Thresholds:
     cubic_runs_bound: Fraction = Fraction("0.5")
     sigma_bound: Fraction = Fraction("4.1")
     sigma_cubic_bound: Fraction = Fraction("2.5")
+
+
+# The thresholds each verb reads, and so the only ones it lets --threshold set.
+VERIFY_THRESHOLDS = ("runs_bound", "cubic_runs_bound", "sigma_bound", "sigma_cubic_bound")
+CERTIFY_THRESHOLDS = ("lower_bound_target",)
 
 
 def ratio_string(num: int | Fraction, den: int, digits: int) -> str:
@@ -123,26 +127,12 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _count(value: int) -> str:
-    """``value`` with thousands separators, or, past 30 digits, its digit count,
-    so that a refusal stays one short line however large its numbers."""
-    size = abs(value)
-    if size < 10**30:
-        return f"{value:,}"
-    digits = int((size.bit_length() - 1) * math.log10(2)) + 1
-    while size >= 10**digits:
-        digits += 1
-    while size < 10 ** (digits - 1):
-        digits -= 1
-    return f"{'-' if value < 0 else ''}[{digits:,} digits]"
-
-
 def _mb(nbytes: int) -> str:
     """``nbytes`` in MB to one decimal, rounded half up in integers, so that
     no byte count is too large to print."""
     tenths = (nbytes * 10 + 2**19) // 2**20
     if tenths >= 10**31:
-        return _count(tenths // 10)
+        return count_text(tenths // 10)
     return f"{tenths // 10:,}.{tenths % 10}"
 
 
@@ -152,7 +142,7 @@ def admit(letters: int, what: str) -> None:
     available = physical_memory()
     if projected > available:
         raise UsageError(
-            f"{what} has {_count(letters)} letters: projected {_mb(projected)} MB "
+            f"{what} has {count_text(letters)} letters: projected {_mb(projected)} MB "
             f"({BYTES_PER_LETTER} B/letter) exceeds the memory cap, the "
             f"{_mb(available)} MB of physical memory"
         )
@@ -163,7 +153,7 @@ def _family_member(index: int, spec_path: str | None, copies: int = 1) -> tuple[
     admitted at ``copies`` times its predicted length before it is built."""
     spec = builtin_family() if spec_path is None else load_family(spec_path)
     label = f"{spec.name}:{index}"
-    what = label if copies == 1 else f"{label} to the power {_count(copies)}"
+    what = label if copies == 1 else f"{label} to the power {count_text(copies)}"
     admit(predicted_length(spec, index) * copies, what)
     return generate_member(spec, index), label
 
@@ -189,22 +179,16 @@ def resolve_word(arg: str, *, family_spec: str | None) -> tuple[Word, str]:
     return word_from_text(arg, set(arg)), arg
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _parse_threshold_overrides(pairs: Sequence[str] | None) -> Thresholds:
+def _parse_threshold_overrides(pairs: Sequence[str] | None, names: Sequence[str]) -> Thresholds:
+    """The defaults with each NAME=VALUE of ``pairs`` applied; NAME must be
+    one of ``names``, the thresholds the verb reads."""
     thresholds = Thresholds()
-    if not pairs:
-        return thresholds
-    valid = {f.name for f in fields(Thresholds)}
-    for pair in pairs:
+    for pair in pairs or ():
         name, sep, value = pair.partition("=")
-        if not sep or name not in valid:
+        if not sep or name not in names:
             raise ValueError(
                 f"bad threshold override {pair!r}; expected NAME=VALUE with NAME in "
-                + ", ".join(sorted(valid))
+                + ", ".join(sorted(names))
             )
         thresholds = replace(thresholds, **{name: Fraction(value)})
     return thresholds
@@ -319,7 +303,7 @@ def bound_checks(stats: RunStats, thresholds: Thresholds) -> dict[str, dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    thresholds = _parse_threshold_overrides(args.threshold)
+    thresholds = _parse_threshold_overrides(args.threshold, VERIFY_THRESHOLDS)
     word, label = resolve_word(args.input, family_spec=args.family_spec)
     handle_report = verify_handle_properties(word)
     runs = handle_report.runs
@@ -355,7 +339,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table3(args: argparse.Namespace) -> int:
     if not 1 <= args.max_i <= len(MAIN_FAMILY_REFERENCE):
-        return _usage_error(f"--max-i must be in 1..{len(MAIN_FAMILY_REFERENCE)}, got {args.max_i}")
+        raise UsageError(f"--max-i must be in 1..{len(MAIN_FAMILY_REFERENCE)}, got {args.max_i}")
     headers = ["i", "n", "rho", "rho_over_n", "sigma", "sigma_exact", "sigma_over_n"]
     rows: list[list[str]] = []
     mismatches: list[str] = []
@@ -387,10 +371,9 @@ def cmd_table3(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    thresholds = _parse_threshold_overrides(args.threshold)
-    target = thresholds.lower_bound_target
+    target = _parse_threshold_overrides(args.threshold, CERTIFY_THRESHOLDS).lower_bound_target
     if args.power < 1:
-        return _usage_error(f"--power must be >= 1, got {_count(args.power)}")
+        raise UsageError(f"--power must be >= 1, got {count_text(args.power)}")
     member, _ = _family_member(args.index, None, copies=args.power)
     word = power(member, args.power)
     stats = run_stats(word, find_runs(word))
@@ -445,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-cap", type=int, default=BRUTE_FORCE_CAP, metavar="N",
                    help="run the brute-force comparison when n <= N (default %(default)s)")
     p.add_argument("--threshold", action="append", metavar="NAME=VALUE",
-                   help="override a bound constant (repeatable)")
+                   help=f"override a bound constant, NAME in {', '.join(VERIFY_THRESHOLDS)} (repeatable)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table3", help="reproduce the built-in family table")
@@ -458,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=8, metavar="I", help="family index (default 8)")
     p.add_argument("--power", type=int, default=1, metavar="K", help="repeat count (default 1)")
     p.add_argument("--threshold", action="append", metavar="NAME=VALUE",
-                   help="override a bound constant, e.g. lower_bound_target=2.03 (repeatable)")
+                   help="override the target, e.g. lower_bound_target=2.03 (the one NAME; repeatable)")
     p.set_defaults(func=cmd_certify)
 
     return parser

@@ -10,9 +10,9 @@ constructions can be analyzed without code changes.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
@@ -66,28 +66,51 @@ def run_rich_word(i: int) -> Word:
     return generate_member(builtin_family(), i)
 
 
-def predicted_length(spec: FamilySpec, i: int) -> int:
-    """Length of member i from letter counts alone.
+def count_text(value: int, grouping: str = ",") -> str:
+    """``value`` in digits (``grouping`` "," adds thousands separators), or,
+    past 30 digits, its digit count, so that a message stays one short line
+    however large its numbers."""
+    size = abs(value)
+    if size < 10**30:
+        return format(value, grouping)
+    digits = int((size.bit_length() - 1) * math.log10(2)) + 1
+    while size >= 10**digits:
+        digits += 1
+    while size < 10 ** (digits - 1):
+        digits -= 1
+    return f"{'-' if value < 0 else ''}[{digits:,} digits]"
 
-    Evolves the seed's letter counts through the inner rules i times,
-    then weighs by outer image lengths; O(i * alphabet^2) with exact
-    integers, no word is materialized. Images are nonempty, so the inner
-    word never shrinks and the member is at least as long: once the inner
-    word passes sys.maxsize letters no bytes object can hold the member,
-    and the index is refused there instead of growing the counts further.
+
+def predicted_length(spec: FamilySpec, i: int) -> int:
+    """Length of member i from letter counts alone, no word materialized.
+
+    The seed's letter counts times the i-th power of the inner rules'
+    letter-count matrix (entry [a][b]: the b's in the image of a), by
+    repeated squaring in O(log i * alphabet^3), weighed by outer image
+    lengths. Entries are capped at sys.maxsize + 1; all are >= 0, so a
+    capped product is exact below the cap. Images are nonempty, so the
+    inner word never shrinks: once it passes sys.maxsize letters after
+    some of the i steps, no bytes object can hold the member and the index
+    is refused.
     """
+    index = count_text(i, grouping="")
     if i < 0:
-        raise ValueError(f"family index must be >= 0, got {i}")
-    counts = Counter(spec.seed.text)
-    for _ in range(i):
-        step: Counter[str] = Counter()
-        for sym, c in counts.items():
-            for target in spec.inner.image_of(sym):
-                step[target] += c
-        counts = step
-        if counts.total() > sys.maxsize:
-            raise ValueError(f"{spec.name}:{i} has more than {sys.maxsize:,} letters")
-    return sum(c * len(spec.outer.image_of(sym)) for sym, c in counts.items())
+        raise ValueError(f"family index must be >= 0, got {index}")
+    cap = sys.maxsize + 1
+    letters = sorted(spec.inner.source_alphabet)
+
+    def product(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+        return [[min(cap, sum(a * b for a, b in zip(row, col))) for col in zip(*y)] for row in x]
+
+    counts = [[spec.seed.text.count(a) for a in letters]]
+    step = [[spec.inner.image_of(a).count(b) for b in letters] for a in letters]
+    for bit in reversed(bin(i)[2:]):
+        if bit == "1":
+            counts = product(counts, step)
+            if sum(counts[0]) > sys.maxsize:  # the inner word after at most i steps
+                raise ValueError(f"{spec.name}:{index} has more than {sys.maxsize:,} letters")
+        step = product(step, step)
+    return sum(c * len(spec.outer.image_of(a)) for a, c in zip(letters, counts[0]))
 
 
 def generate_member(spec: FamilySpec, i: int) -> Word:
@@ -97,8 +120,6 @@ def generate_member(spec: FamilySpec, i: int) -> Word:
     with the generated word aborts, catching mistyped rules before any
     analysis runs on megabytes of garbage.
     """
-    if i < 0:
-        raise ValueError(f"family index must be >= 0, got {i}")
     predicted = predicted_length(spec, i)
     expanded = iterate_morphism(spec.inner, spec.seed, i)
     member = apply_morphism(spec.outer, expanded)

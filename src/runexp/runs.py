@@ -523,34 +523,22 @@ def validate_run(w: Word, run: Run) -> None:
 def run_stats(w: Word, runs: RunSet) -> RunStats:
     """Exact counts and exponent sums over ``runs``.
 
-    The exponent sum is accumulated per distinct period: integer length
-    sums S_p first, then sigma = sum of S_p / p as exact rationals.
+    Run lengths are summed into two int64 tables indexed by period, one over
+    all runs and one over the cubic runs (length >= 3p): S_p is the total
+    length of the runs of period p. Then sigma = sum of S_p / p over the
+    nonzero entries, in exact rationals; no sort groups the periods.
     """
-    n = len(w)
-    if len(runs) == 0:
-        zero = Fraction(0)
-        return RunStats(n=n, rho=0, sigma=zero, rho_cubic=0, sigma_cubic=zero)
     lens = runs.ends - runs.starts + 1
-    sigma = _exact_exponent_sum(lens, runs.periods)
     cubic = lens >= 3 * runs.periods
-    rho_cubic = int(np.count_nonzero(cubic))
-    if rho_cubic:
-        sigma_cubic = _exact_exponent_sum(lens[cubic], runs.periods[cubic])
-    else:
-        sigma_cubic = Fraction(0)
-    return RunStats(n=n, rho=len(runs), sigma=sigma, rho_cubic=rho_cubic, sigma_cubic=sigma_cubic)
-
-
-def _exact_exponent_sum(lens: np.ndarray, periods: np.ndarray) -> Fraction:
-    order = np.argsort(periods, kind="stable")
-    ps = periods[order]
-    ls = lens[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(ps)) + 1])
-    sums = np.add.reduceat(ls, starts)
-    total = Fraction(0)
-    for p, s in zip(ps[starts].tolist(), sums.tolist()):
-        total += Fraction(s, p)
-    return total
+    tables = np.zeros((2, int(runs.periods.max(initial=0)) + 1), dtype=np.int64)
+    np.add.at(tables[0], runs.periods, lens)
+    np.add.at(tables[1], runs.periods[cubic], lens[cubic])
+    sigma, sigma_cubic = (
+        sum(map(Fraction, table[table != 0].tolist(), np.flatnonzero(table).tolist()), Fraction(0))
+        for table in tables
+    )
+    return RunStats(n=len(w), rho=len(runs), sigma=sigma,
+                    rho_cubic=int(np.count_nonzero(cubic)), sigma_cubic=sigma_cubic)
 
 
 def fraction_to_decimal(value: Fraction, digits: int, *, rounding: str = "half-up") -> str:

@@ -186,17 +186,23 @@ class TestAnalyze:
         ("analyze", "family:1000000"),
         ("analyze", "family:2000", "--family-spec", "FIB"),
         ("certify-lower-bound", "--index", "1", "--power", str(10**400)),
+        ("analyze", f"family:{10**4298}"),
+        # one letter more per step: about 15 GB projected at this index
+        ("analyze", "family:100000000", "--family-spec", "LIN"),
     ])
-    def test_huge_input_refused_quickly(self, capsys, monkeypatch, tmp_path, argv):
-        spec = tmp_path / "fib.fam"
-        spec.write_text("seed = a\n[inner]\na -> ab\nb -> a\n")
+    def test_huge_input_refused_quickly(self, capsys, monkeypatch, tmp_path, memory_mb, argv):
+        specs = {"FIB": "a -> ab\nb -> a\n", "LIN": "a -> ab\nb -> b\n"}
+        for name, rules in specs.items():
+            (tmp_path / f"{name}.fam").write_text(f"seed = a\n[inner]\n{rules}")
+        memory_mb(8192)
         monkeypatch.setattr("runexp.cli.generate_member", never)
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, *(str(spec) if a == "FIB" else a for a in argv))
+        code, out, err = run_cli(capsys, *(str(tmp_path / f"{a}.fam") if a in specs else a for a in argv))
         assert time.perf_counter() - start < 1
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
+        assert len(err.encode()) < 300
         assert err.startswith("error: ")
 
     def test_input_within_memory_is_admitted(self, capsys, memory_mb):
@@ -345,6 +351,20 @@ class TestVerify:
         assert code == 2
         assert "threshold" in err
 
+    @pytest.mark.parametrize("argv, name, allowed", [
+        (("verify", "aabaabaa"), "lower_bound_target",
+         "cubic_runs_bound, runs_bound, sigma_bound, sigma_cubic_bound"),
+        *((("certify-lower-bound", "--index", "3", "--threshold", "lower_bound_target=1"), name,
+           "lower_bound_target")
+          for name in ("runs_bound", "cubic_runs_bound", "sigma_bound", "sigma_cubic_bound")),
+    ])
+    def test_threshold_the_verb_does_not_read_refused(self, capsys, argv, name, allowed):
+        code, out, err = run_cli(capsys, *argv, "--threshold", f"{name}=0.001")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: bad threshold override '{name}=0.001'; "
+                       f"expected NAME=VALUE with NAME in {allowed}\n")
+
 
 class TestTable3:
     def test_small_prefix_passes(self, capsys):
@@ -384,8 +404,16 @@ class TestTable3:
         assert projected(1_373_693) in err
 
     def test_index_zero_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "table3", "--max-i", "0")
+        code, out, err = run_cli(capsys, "table3", "--max-i", "0")
         assert code == 2
+        assert out == ""
+        assert err == "error: --max-i must be in 1..10, got 0\n"
+
+    def test_index_past_the_table_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "table3", "--max-i", "11")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-i must be in 1..10, got 11\n"
 
 
 class TestCertify:
@@ -408,8 +436,10 @@ class TestCertify:
         assert "verdict: PASS" in out
 
     def test_bad_power(self, capsys):
-        code, _, err = run_cli(capsys, "certify-lower-bound", "--power", "0")
+        code, out, err = run_cli(capsys, "certify-lower-bound", "--power", "0")
         assert code == 2
+        assert out == ""
+        assert err == "error: --power must be >= 1, got 0\n"
 
     def test_power_refused_before_it_is_built(self, capsys, monkeypatch, memory_mb):
         memory_mb(2)  # member 5 (6,647 letters) fits, its cube does not

@@ -42,10 +42,24 @@ class TestBuiltinFamily:
         with pytest.raises(ValueError, match=">= 0"):
             run_rich_word(-1)
 
+    @pytest.mark.parametrize("index", range(11))
+    def test_predicted_length_is_the_generated_length(self, index):
+        assert predicted_length(builtin_family(), index) == len(run_rich_word(index))
+
     def test_member_past_sys_maxsize_refused(self):
         # the inner word passes sys.maxsize letters after about 33 steps
         with pytest.raises(ValueError, match="run-rich:100000 has more than"):
             predicted_length(builtin_family(), 100_000)
+
+    @pytest.mark.parametrize("index, shown", [
+        (10**4298, "run-rich:[4,299 digits] has more than"),
+        (-(10**4298), "must be >= 0, got -[4,299 digits]"),
+    ])
+    def test_huge_index_named_by_its_digit_count(self, index, shown):
+        with pytest.raises(ValueError) as refusal:
+            predicted_length(builtin_family(), index)
+        assert shown in str(refusal.value)
+        assert len(str(refusal.value)) < 300
 
 
 class TestFamilySpecValidation:
@@ -99,6 +113,41 @@ def test_predicted_length_matches_generation(rules, seed_text, i):
         seed=word_from_text(seed_text, "ab"),
     )
     assert len(generate_member(spec, i)) == predicted_length(spec, i)
+
+
+def spec_family(inner, outer, seed):
+    return FamilySpec(name="spec", inner=Morphism(inner), outer=Morphism(outer),
+                      seed=word_from_text(seed, "ab"))
+
+
+class TestPredictedLength:
+    """The letter-count matrix power against generation, over 60 steps."""
+
+    def test_growing(self):
+        # Fibonacci: the inner word after i steps has F(i + 2) letters.
+        spec = spec_family({"a": "ab", "b": "a"}, {"a": "a", "b": "b"}, "a")
+        fib = [1, 2]
+        for i in range(61):
+            assert predicted_length(spec, i) == fib[i]
+            if fib[i] <= 10**5:
+                assert len(generate_member(spec, i)) == fib[i]
+            fib.append(fib[-1] + fib[-2])
+
+    @pytest.mark.parametrize("inner, outer, seed", [
+        ({"a": "ab", "b": "b"}, {"a": "xyz", "b": "w"}, "a"),  # linear: i + 1 inner letters
+        ({"a": "b", "b": "a"}, {"a": "xy", "b": "z"}, "aab"),  # length-preserving
+    ])
+    def test_not_growing_exponentially(self, inner, outer, seed):
+        spec = spec_family(inner, outer, seed)
+        for i in range(61):
+            assert predicted_length(spec, i) == len(generate_member(spec, i))
+
+    def test_refused_at_the_first_index_past_sys_maxsize(self):
+        # doubling: 2^62 inner letters fit, 2^63 do not
+        spec = spec_family({"a": "aa", "b": "b"}, {"a": "a", "b": "b"}, "a")
+        assert predicted_length(spec, 62) == 2**62
+        with pytest.raises(ValueError, match="spec:63 has more than"):
+            predicted_length(spec, 63)
 
 
 class TestFamilyFiles:

@@ -16,6 +16,7 @@ from runexp.runs import (
     SMALL_ENGINE_LIMIT,
     Run,
     RunSet,
+    RunStats,
     find_runs,
     find_runs_bruteforce,
     fraction_to_decimal,
@@ -435,6 +436,57 @@ class TestStats:
         word = w("ab")
         st_ = run_stats(word, find_runs(word))
         assert (st_.rho, st_.sigma, st_.rho_cubic, st_.sigma_cubic) == (0, 0, 0, 0)
+
+    @staticmethod
+    def check_against_exponents(word):
+        runs = find_runs(word)
+        cubic = [r for r in runs if r.is_cubic]
+        assert run_stats(word, runs) == RunStats(
+            n=len(word),
+            rho=len(runs),
+            sigma=sum((r.exponent for r in runs), Fraction(0)),
+            rho_cubic=len(cubic),
+            sigma_cubic=sum((r.exponent for r in cubic), Fraction(0)),
+        )
+
+    def test_every_binary_word_up_to_12(self):
+        self.check_against_exponents(w("", "ab"))
+        for data in binary_words(12):
+            self.check_against_exponents(w(data.decode(), "ab"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.text(alphabet="abcd"[:k], max_size=1500)))
+    def test_random_words(self, text):
+        self.check_against_exponents(w(text, "abcd"))
+
+    def test_empty_runset(self):
+        stats = run_stats(w("abc"), RunSet.from_runs([]))
+        assert stats == RunStats(n=3, rho=0, sigma=Fraction(0), rho_cubic=0, sigma_cubic=Fraction(0))
+
+    # str(sigma) and str(sigma_cubic), exact, of the built-in members.
+    PINNED_SUMS = {
+        1: ("471/10", "18/5"),
+        2: ("29558383/132990", "89/5"),
+        3: ("6053770451/6640200", "303371/3410"),
+        4: ("59842572996485407545761/16936527138308177400", "2621870653/7580430"),
+        5: ("580322177038566330996620790491/42992553560484465605795400",
+             "13000574159/9877530"),
+        6: ("7391145406880142283096561431559932209312009"
+             "/144177039436663823194350730605381730200",
+             "446353024174/89375715"),
+        7: ("94353299994510628179896293763399692112906936453081185919"
+             "/485181019319042433163015040715571464556216190445150",
+             "54092645918783182/2856537227115"),
+        8: ("122875505565389502625699245332681789040323597338515897404214620887398564928733354183"
+             "/166635007017850324528668203712578293395122273225209336188961780606253534402400",
+             "801662091870250747523/11166204020792535"),
+    }
+
+    @pytest.mark.parametrize("index", sorted(PINNED_SUMS))
+    def test_pinned_family_sums(self, index):
+        word = run_rich_word(index)
+        stats = run_stats(word, find_runs(word))
+        assert (str(stats.sigma), str(stats.sigma_cubic)) == self.PINNED_SUMS[index]
 
     @settings(max_examples=150, deadline=None)
     @given(st.text(alphabet="ab", min_size=0, max_size=200))
