@@ -7,8 +7,8 @@ word families. The ``runexp`` command line fronts all of it.
 """
 
 from .families import FamilySpec, builtin_family, generate_member, load_family, run_rich_word
-from .handles import HandleReport, HandleSet, handles_of_run, verify_handle_properties
-from .periods import RotationExtremes, border_table, rotation_extremes, shortest_period
+from .handles import HandleReport, verify_handle_properties
+from .periods import border_table, shortest_period
 from .runs import (
     Run,
     RunSet,
@@ -17,14 +17,12 @@ from .runs import (
     find_runs_bruteforce,
     fraction_to_decimal,
     run_stats,
-    validate_run,
     validate_runs,
 )
 from .words import (
     Morphism,
     Word,
     apply_morphism,
-    iterate_morphism,
     power,
     read_word_file,
     word_from_text,
@@ -36,9 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FamilySpec",
     "HandleReport",
-    "HandleSet",
     "Morphism",
-    "RotationExtremes",
     "Run",
     "RunSet",
     "RunStats",
@@ -50,16 +46,12 @@ __all__ = [
     "find_runs_bruteforce",
     "fraction_to_decimal",
     "generate_member",
-    "handles_of_run",
-    "iterate_morphism",
     "load_family",
     "power",
     "read_word_file",
-    "rotation_extremes",
     "run_rich_word",
     "run_stats",
     "shortest_period",
-    "validate_run",
     "validate_runs",
     "verify_handle_properties",
     "word_from_text",

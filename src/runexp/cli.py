@@ -85,8 +85,8 @@ def sigma_cell_matches(exact: Fraction, published: str) -> bool:
     )
 
 
-def ratio_matches(exact: Fraction, published: str, tol: Fraction = RATIO_TOLERANCE) -> bool:
-    return abs(exact - Fraction(published)) <= tol
+def ratio_matches(exact: Fraction, published: str) -> bool:
+    return abs(exact - Fraction(published)) <= RATIO_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,8 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
 
 def bound_checks(stats: RunStats, thresholds: Thresholds) -> dict[str, dict]:
-    """Exact-rational instance checks of the published bounds."""
+    """Exact-rational instance checks of the published bounds, which speak of
+    n >= 1: at n = 0, where every count and sum is 0, all are met."""
     n = stats.n
     checks = {
         "rho_le_runs_bound_n": (
@@ -284,7 +285,7 @@ def bound_checks(stats: RunStats, thresholds: Thresholds) -> dict[str, dict]:
         ),
         "sigma_lt_sigma_bound_n": (
             thresholds.sigma_bound,
-            stats.sigma < thresholds.sigma_bound * n,
+            not n or stats.sigma < thresholds.sigma_bound * n,
         ),
         "rho_cubic_le_cubic_runs_bound_n": (
             thresholds.cubic_runs_bound,
@@ -292,9 +293,9 @@ def bound_checks(stats: RunStats, thresholds: Thresholds) -> dict[str, dict]:
         ),
         "sigma_cubic_lt_sigma_cubic_bound_n": (
             thresholds.sigma_cubic_bound,
-            stats.sigma_cubic < thresholds.sigma_cubic_bound * n,
+            not n or stats.sigma_cubic < thresholds.sigma_cubic_bound * n,
         ),
-        "sigma_lt_3rho_plus_n": (None, stats.sigma < 3 * stats.rho + n),
+        "sigma_lt_3rho_plus_n": (None, not n or stats.sigma < 3 * stats.rho + n),
     }
     return {
         name: {"limit": None if lim is None else str(lim), "ok": bool(ok)}
@@ -309,10 +310,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     runs = handle_report.runs
     stats = run_stats(word, runs)
 
-    oracle: dict = {"cap": args.oracle_cap, "checked": False, "match": None}
-    if len(word) <= args.oracle_cap:
+    oracle: dict = {"cap": BRUTE_FORCE_CAP, "checked": False, "match": None}
+    if len(word) <= BRUTE_FORCE_CAP:
         oracle["checked"] = True
-        oracle["match"] = find_runs_bruteforce(word, cap=args.oracle_cap) == runs
+        oracle["match"] = find_runs_bruteforce(word) == runs
 
     bounds = bound_checks(stats, thresholds)
 
@@ -425,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle + handle + bound checks, JSON report")
     _add_input_options(p)
-    p.add_argument("--oracle-cap", type=int, default=BRUTE_FORCE_CAP, metavar="N",
-                   help="run the brute-force comparison when n <= N (default %(default)s)")
     p.add_argument("--threshold", action="append", metavar="NAME=VALUE",
                    help=f"override a bound constant, NAME in {', '.join(VERIFY_THRESHOLDS)} (repeatable)")
     p.set_defaults(func=cmd_verify)

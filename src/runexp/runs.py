@@ -442,16 +442,16 @@ def _runs_and_ranks(w: Word):
     return RunSet(starts + 1, ends + 1, periods), isa
 
 
-def find_runs_bruteforce(w: Word, *, cap: int = BRUTE_FORCE_CAP) -> RunSet:
+def find_runs_bruteforce(w: Word) -> RunSet:
     """Literal definition scan: test every interval of ``w``.
 
     For each interval the shortest period comes from the border table of
     the factor; the interval is a run when 2p <= length and neither side
-    can be extended. Refuses words longer than ``cap``.
+    can be extended. Refuses words longer than BRUTE_FORCE_CAP.
     """
     n = len(w)
-    if n > cap:
-        raise ValueError(f"word length {n} exceeds the brute-force cap {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise ValueError(f"word length {n} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     data = w.data
     found: list[tuple[int, int, int]] = []
     for b in range(n):

@@ -13,7 +13,6 @@ __all__ = [
     "Morphism",
     "word_from_text",
     "apply_morphism",
-    "iterate_morphism",
     "power",
     "read_word_file",
     "write_word_file",
@@ -51,8 +50,8 @@ class Word:
         alpha = _as_alphabet(alphabet)
         if isinstance(data, str):
             data = data.encode("ascii")
-        allowed = {ord(sym) for sym in alpha}
-        if not set(data) <= allowed:
+        allowed = "".join(alpha).encode("ascii")
+        if data.translate(None, allowed):
             # Locate the first offender only on the failure path.
             for pos, byte in enumerate(data, start=1):
                 if byte not in allowed:
@@ -165,33 +164,13 @@ def word_from_text(text: str, alphabet: Iterable[str]) -> Word:
 
 def apply_morphism(m: Morphism, w: Word) -> Word:
     """Apply ``m`` letterwise and concatenate the images."""
-    missing = set(w.data) - {ord(s) for s in m.source_alphabet}
+    missing = w.data.translate(None, "".join(m.source_alphabet).encode("ascii"))
     if missing:
         sym = chr(min(missing))
         raise ValueError(f"no rule for letter {sym!r}")
     table = m._table
     data = b"".join(map(table.__getitem__, w.data))
     return Word(data, m.target_alphabet)
-
-
-def iterate_morphism(m: Morphism, seed: Word, k: int) -> Word:
-    """Apply ``m`` to ``seed`` ``k`` times; ``k=0`` returns the seed unchanged.
-
-    Requires images to stay inside the source alphabet so that iteration
-    is well defined.
-    """
-    if k < 0:
-        raise ValueError(f"iteration count must be >= 0, got {k}")
-    if not m.is_endomorphism():
-        extra = "".join(sorted(m.target_alphabet - m.source_alphabet))
-        raise ValueError(f"morphism is not iterable: image letters {extra!r} have no rules")
-    if not seed.alphabet <= m.source_alphabet:
-        extra = "".join(sorted(seed.alphabet - m.source_alphabet))
-        raise ValueError(f"seed alphabet letters {extra!r} have no rules")
-    w = seed
-    for _ in range(k):
-        w = apply_morphism(m, w)
-    return w
 
 
 def power(w: Word, k: int) -> Word:
@@ -201,11 +180,11 @@ def power(w: Word, k: int) -> Word:
     return Word(w.data * k, w.alphabet)
 
 
-def read_word_file(path, alphabet: Iterable[str] | None = None) -> Word:
+def read_word_file(path) -> Word:
     """Read a word from a plain-text file.
 
     A single trailing newline is ignored; any other whitespace is an
-    error. When ``alphabet`` is omitted it is inferred from the content.
+    error. The alphabet is the set of letters the file holds.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -216,9 +195,7 @@ def read_word_file(path, alphabet: Iterable[str] | None = None) -> Word:
         # Locate the first offender only on the failure path.
         pos, byte = next((pos, b) for pos, b in enumerate(raw, start=1) if b not in _FILE_BYTES)
         raise ValueError(f"{path}: byte {byte:#04x} at position {pos} is not allowed in a word file")
-    if alphabet is None:
-        alphabet = {chr(b) for b in distinct}
-    return Word(raw, alphabet)
+    return Word(raw, {chr(b) for b in distinct})
 
 
 def write_word_file(w: Word, path) -> None:

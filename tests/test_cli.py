@@ -281,6 +281,18 @@ class TestGenerateAndRuns:
         assert code == 0
         assert json.loads(out)["word"] == "fib:5"
 
+    def test_non_growing_family_at_a_huge_index(self, capsys, tmp_path):
+        # built in O(log i) squarings, not one step per index
+        spec = tmp_path / "swap.fam"
+        spec.write_text("seed = a\n[inner]\na -> b\nb -> a\n")
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "analyze", "family:1000000", "--family-spec", str(spec), "--format", "json"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert json.loads(out)["n"] == 1
+
 
 class TestVerify:
     def test_pass_report(self, capsys):
@@ -301,10 +313,22 @@ class TestVerify:
         assert all(entry["ok"] for entry in report["bounds"].values())
 
     def test_oracle_skipped_above_cap(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "ababababab", "--oracle-cap", "4")
+        code, out, _ = run_cli(capsys, "verify", "ab" * 1001)
         assert code == 0
         report = json.loads(out)
-        assert report["oracle"] == {"cap": 4, "checked": False, "match": None}
+        assert report["oracle"] == {"cap": 2000, "checked": False, "match": None}
+
+    def test_empty_word_passes(self, capsys, tmp_path):
+        # the strict bounds speak of n >= 1; at n = 0 every count and sum is 0
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        for word in ("", str(path)):
+            code, out, _ = run_cli(capsys, "verify", word)
+            assert code == 0
+            report = json.loads(out)
+            assert report["n"] == 0
+            assert report["pass"] is True
+            assert all(entry["ok"] for entry in report["bounds"].values())
 
     def test_family_word_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "family:3")

@@ -1,4 +1,4 @@
-"""Family generation: built-in members, length prediction, spec files."""
+"""Family generation: built-in members, the squaring builder, length prediction, spec files."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,16 @@ from runexp.families import (
     run_rich_word,
 )
 from runexp.reference import MAIN_FAMILY_REFERENCE
-from runexp.words import Morphism, word_from_text
+from runexp.words import Morphism, apply_morphism, word_from_text
+
+
+def stepwise_member(spec, i):
+    """Test oracle: the inner morphism applied i times, one step at a time,
+    then the outer coding."""
+    w = spec.seed
+    for _ in range(i):
+        w = apply_morphism(spec.inner, w)
+    return apply_morphism(spec.outer, w)
 
 
 class TestBuiltinFamily:
@@ -41,6 +50,10 @@ class TestBuiltinFamily:
         assert run_rich_word(0).text == "01011"
         with pytest.raises(ValueError, match=">= 0"):
             run_rich_word(-1)
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_member_equals_stepwise_iteration(self, index):
+        assert run_rich_word(index) == stepwise_member(builtin_family(), index)
 
     @pytest.mark.parametrize("index", range(11))
     def test_predicted_length_is_the_generated_length(self, index):
@@ -103,8 +116,11 @@ simple_rules = st.dictionaries(
 )
 
 
+seed_texts = st.text(alphabet="ab", min_size=1, max_size=3)
+
+
 @settings(max_examples=150, deadline=None)
-@given(simple_rules, st.text(alphabet="ab", min_size=1, max_size=3), st.integers(0, 6))
+@given(simple_rules, seed_texts, st.integers(0, 6))
 def test_predicted_length_matches_generation(rules, seed_text, i):
     spec = FamilySpec(
         name="random",
@@ -118,6 +134,52 @@ def test_predicted_length_matches_generation(rules, seed_text, i):
 def spec_family(inner, outer, seed):
     return FamilySpec(name="spec", inner=Morphism(inner), outer=Morphism(outer),
                       seed=word_from_text(seed, "ab"))
+
+
+IDENTITY = {"a": "a", "b": "b"}
+
+
+class TestSquaringBuilder:
+    """generate_member squares a table of inner images instead of stepping i times."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(simple_rules, seed_texts, st.integers(0, 8))
+    def test_equals_stepwise_iteration(self, rules, seed_text, i):
+        spec = spec_family(rules, {"a": "xy", "b": "z"}, seed_text)
+        assert generate_member(spec, i) == stepwise_member(spec, i)
+
+    @settings(max_examples=150, deadline=None)
+    @given(simple_rules, seed_texts, st.integers(0, 4), st.integers(0, 4))
+    def test_iteration_composes(self, rules, seed_text, j, k):
+        # member j, taken as the seed and built k more steps, is member j + k
+        spec = spec_family(rules, IDENTITY, seed_text)
+        later = FamilySpec(name="later", inner=spec.inner, outer=spec.outer,
+                           seed=generate_member(spec, j))
+        assert generate_member(later, k) == generate_member(spec, j + k)
+
+    @pytest.mark.parametrize("i, text", [
+        (0, "a"),
+        (1, "baaba"),
+        (2, "cabaababaabacabaaba"),  # image(b) image(a) image(a) image(b) image(a)
+    ], ids=["zero_iterations", "single_iteration", "two_iterations"])
+    def test_builtin_inner_by_hand(self, i, text):
+        spec = FamilySpec(name="inner", inner=builtin_family().inner,
+                          outer=Morphism({"a": "a", "b": "b", "c": "c"}),
+                          seed=word_from_text("a", "abc"))
+        assert generate_member(spec, i).text == text
+
+    @pytest.mark.parametrize("i, text", [(10**6, "a"), (10**8 + 1, "b")])
+    def test_length_preserving_at_huge_indexes(self, i, text):
+        assert generate_member(spec_family({"a": "b", "b": "a"}, IDENTITY, "a"), i).text == text
+
+    def test_image_longer_than_the_member_is_never_built(self):
+        # b's image under inner^(2^6) would have 2^64 letters, but no b occurs
+        spec = spec_family({"a": "a", "b": "bb"}, IDENTITY, "a")
+        assert generate_member(spec, 64).text == "a"
+
+    def test_linear_growth(self):
+        spec = spec_family({"a": "ab", "b": "b"}, IDENTITY, "a")
+        assert generate_member(spec, 10**5).text == "a" + "b" * 10**5
 
 
 class TestPredictedLength:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from runexp import runs as runs_module
 from runexp.families import run_rich_word
 from runexp.runs import (
+    BRUTE_FORCE_CAP,
     SMALL_ENGINE_LIMIT,
     Run,
     RunSet,
@@ -69,7 +70,7 @@ class TestExamples:
 
     def test_bruteforce_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            find_runs_bruteforce(w("ab" * 30), cap=10)
+            find_runs_bruteforce(w("a" * (BRUTE_FORCE_CAP + 1)))
 
 
 class TestRunType:

@@ -1,4 +1,4 @@
-"""Word and morphism core: construction, application, iteration, file I/O."""
+"""Word and morphism core: construction, application, file I/O."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +7,6 @@ from runexp.words import (
     Morphism,
     Word,
     apply_morphism,
-    iterate_morphism,
     parse_rule_line,
     power,
     read_word_file,
@@ -94,35 +93,6 @@ class TestMorphism:
             apply_morphism(INNER, word_from_text("ad", "ad"))
 
 
-class TestIteration:
-    def test_zero_iterations_is_identity(self):
-        seed = word_from_text("a", "abc")
-        assert iterate_morphism(INNER, seed, 0).text == "a"
-
-    def test_single_iteration(self):
-        seed = word_from_text("a", "abc")
-        assert iterate_morphism(INNER, seed, 1).text == "baaba"
-
-    def test_two_iterations(self):
-        # expand image(b) image(a) image(a) image(b) image(a) by hand
-        seed = word_from_text("a", "abc")
-        w = iterate_morphism(INNER, seed, 2)
-        assert w.text == "cabaababaabacabaaba"
-        assert len(w) == 19
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            iterate_morphism(INNER, word_from_text("a", "abc"), -1)
-
-    def test_non_endomorphism_rejected(self):
-        with pytest.raises(ValueError):
-            iterate_morphism(OUTER, word_from_text("a", "abc"), 2)
-
-    def test_seed_outside_alphabet_rejected(self):
-        with pytest.raises(ValueError):
-            iterate_morphism(INNER, word_from_text("x", "x"), 1)
-
-
 class TestPower:
     def test_examples(self):
         assert power(word_from_text("ab", "ab"), 3).text == "ababab"
@@ -147,13 +117,6 @@ def test_morphism_distributes_over_concatenation(u, v):
     joined = apply_morphism(INNER, wu + wv)
     assert joined.data == (apply_morphism(INNER, wu) + apply_morphism(INNER, wv)).data
     assert len(joined) == len(apply_morphism(INNER, wu)) + len(apply_morphism(INNER, wv))
-
-
-@given(st.text(alphabet="abc", min_size=1, max_size=4), st.integers(0, 3), st.integers(0, 3))
-def test_iteration_composes(seed_text, j, k):
-    seed = word_from_text(seed_text, "abc")
-    stepwise = iterate_morphism(INNER, iterate_morphism(INNER, seed, j), k)
-    assert stepwise == iterate_morphism(INNER, seed, j + k)
 
 
 class TestWordFiles:
@@ -191,12 +154,6 @@ class TestWordFiles:
         with pytest.raises(ValueError) as err:
             read_word_file(path)
         assert str(err.value) == expected
-
-    def test_alphabet_enforced_when_given(self, tmp_path):
-        path = tmp_path / "w.txt"
-        path.write_bytes(b"abc\n")
-        with pytest.raises(ValueError):
-            read_word_file(path, alphabet="ab")
 
 
 class TestMorphismFiles:
