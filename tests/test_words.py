@@ -1,8 +1,9 @@
-"""Word and morphism core: construction, application, file I/O."""
+"""Word and morphism core: construction, application, iteration, file I/O."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from runexp.families import FamilySpec, generate_member
 from runexp.words import (
     Morphism,
     Word,
@@ -91,6 +92,28 @@ class TestMorphism:
     def test_apply_missing_letter(self):
         with pytest.raises(ValueError, match="'d'"):
             apply_morphism(INNER, word_from_text("ad", "ad"))
+
+
+class TestIteration:
+    """Iterating a morphism is done by generate_member; its refusals stay."""
+
+    IDENTITY = Morphism({"a": "a", "b": "b", "c": "c"})
+
+    def test_negative_count_rejected(self):
+        spec = FamilySpec(name="inner", inner=INNER, outer=self.IDENTITY,
+                          seed=word_from_text("a", "abc"))
+        with pytest.raises(ValueError):
+            generate_member(spec, -1)
+
+    def test_non_endomorphism_rejected(self):
+        with pytest.raises(ValueError, match="endomorphism"):
+            FamilySpec(name="outer", inner=OUTER, outer=Morphism({"0": "0", "1": "1"}),
+                       seed=word_from_text("a", "abc"))
+
+    def test_seed_outside_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            FamilySpec(name="inner", inner=INNER, outer=self.IDENTITY,
+                       seed=word_from_text("x", "x"))
 
 
 class TestPower:
