@@ -11,10 +11,11 @@ the word; order 1 is the reversed letter order with the end of the word
 highest, which reverses every suffix comparison. One suffix array
 suffices: both Lyndon arrays come from it, as next-smaller-rank searches
 over a tree of block minima, and the ranks of its prefix-doubling rounds
-(the rank of every 2^k-letter block; the early rounds need no sort) answer
-the left and right extension queries by binary lifting. The arrays engine
-has no Python loop over positions. Each run is reported exactly
-once, from its leftmost root (left extension < p) in its own order, so
+(the rank of every 2^k-letter block; early rounds use a table, later ones
+one packed sort) answer the extension queries by binary lifting, which
+lifts only the few pairs whose short blocks agree through the long levels.
+The arrays engine has no Python loop over positions. Each run is reported
+exactly once, from its leftmost root (left extension < p) in its own order, so
 no dedup pass is needed; a repeated interval is an internal error. The
 brute-force engine applies the definition to every interval and serves
 as an independent oracle.
@@ -164,49 +165,60 @@ def _prefix_doubling(codes: np.ndarray) -> Iterator[np.ndarray]:
     shares its rank with no other position, so two distinct positions
     share a level-k rank only if both full 2^k-letter blocks are equal.
     The rounds stop once all ranks differ: the last array is the inverse
-    suffix array. No common extension of two positions is as long as the
-    blocks of that last round, so adding 2^k for each equal pair of blocks,
-    longest blocks first, gives it exactly.
+    suffix array.
 
-    Each round gives dense ranks to the packed keys rank * (top + 2) + r + 1,
-    r the rank k places on (-1 past the end). While the keys fit in a
-    table of 2n entries, the ranks are a prefix sum over the keys present,
-    with no sort; later rounds sort the keys, and equal pairs have equal
-    keys, so no stable sort is needed. A level is int16 while its ranks
-    fit (the extension queries only compare them); the last level, the
-    inverse suffix array, is int32.
+    Each round gives dense ranks to the pairs (rank, r), r the rank k places
+    on (-1 past the end). While the keys rank * (top + 2) + r + 1 fit in a
+    table of 2n entries, the ranks are a prefix sum over the keys present.
+    Later rounds radix-sort: ``order`` (int32), the positions by rank from
+    the last sorted round, lists them by r as the k positions from n - k on,
+    then ``order[order >= k] - k``; one ``np.sort`` of rank << bits | index
+    along that list orders the pairs, its high bits the first ranks. A table
+    round drops ``order``: level 0 holds raw letter codes (``a`` is 97), so
+    sorted and table rounds can alternate on short words.
+    A level is int16 while its ranks fit (the extension queries only
+    compare them); the last level, the inverse suffix array, is int32.
     """
     n = int(codes.size)
+    bits = n.bit_length()  # rank << bits | index fits in int64 for any n < 2^31
     rank = np.full(n + 1, -1, dtype=np.int16)
     rank[:n] = codes
     top = int(codes.max(initial=0))
+    order = None  # positions by rank, kept from the last sorted round
     k = 1
     while True:
         yield rank
         span = top + 2
-        key = rank[:n].astype(np.int64)
-        key *= span
-        key[: n - k] += rank[k:n]
-        key[: n - k] += 1
         if span * span <= 2 * n:
+            key = rank[:n].astype(np.int64)
+            key *= span
+            key[: n - k] += rank[k:n]
+            key[: n - k] += 1
             seen = np.zeros(span * span, dtype=np.int32)
             seen[key] = 1
             np.cumsum(seen, out=seen)
             top = int(seen[-1]) - 1
             dense = seen[key]
             dense -= 1
-            del seen
+            order = None
+            del seen, key
         else:
-            order = np.argsort(key)
-            key = key[order]
-            bump = np.empty(n, dtype=np.int32)
-            bump[0] = 0
-            np.not_equal(key[1:], key[:-1], out=bump[1:])
+            if order is None:
+                order = _packed_sort(rank[:n].astype(np.int64), bits)
+            order = np.concatenate((np.arange(n - k, n, dtype=np.int32), order[order >= k] - k))
+            first = rank[order].astype(np.int64)
+            order = order[_packed_sort(first, bits)]
+            bump = np.zeros(n, dtype=np.int32)
+            np.not_equal(first[1:], first[:-1], out=bump[1:])
+            del first
+            second = rank[np.minimum(order, n - k) + k]  # -1 past the end
+            bump[1:] |= second[1:] != second[:-1]
+            del second
+            np.cumsum(bump, out=bump)
+            top = int(bump[-1])
             dense = np.empty(n, dtype=np.int32)
-            dense[order] = np.cumsum(bump, dtype=np.int32)
-            top = int(dense[order[-1]])
-            del order, bump
-        del key
+            dense[order] = bump
+            del bump
         done = top == n - 1
         rank = np.full(n + 1, -1, dtype=np.int32 if done or top >= 0x7FFF else np.int16)
         rank[:n] = dense
@@ -217,22 +229,47 @@ def _prefix_doubling(codes: np.ndarray) -> Iterator[np.ndarray]:
         k <<= 1
 
 
-def _lce_right(levels: list[np.ndarray], x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Longest common prefix of data[x:] and data[y:], x < y, from the block ranks."""
-    h = np.zeros_like(x)
-    for k, rank in reversed(list(enumerate(levels))):
-        h += (rank[x + h] == rank[y + h]) * h.dtype.type(1 << k)
-    return h
+def _packed_sort(packed: np.ndarray, bits: int) -> np.ndarray:
+    """Sort int64 ``packed`` (all >= 0) in place, ties by index; return that order as int32."""
+    packed <<= bits
+    packed |= np.arange(packed.size, dtype=np.int32)
+    packed.sort()
+    idx = np.empty(packed.size, dtype=np.int32)
+    np.bitwise_and(packed, (1 << bits) - 1, out=idx, casting="unsafe")
+    packed >>= bits
+    return idx
 
 
-def _lce_left(levels: list[np.ndarray], x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Longest common suffix of data[:x] and data[:y], x < y, from the block ranks."""
+# Only pairs whose 2^_SPLIT-letter blocks agree (1-5% on the family) take the
+# levels above _SPLIT; 4 to 7 measured the same on members 7 to 9.
+_SPLIT = 5
+
+
+def _lce(levels: list[np.ndarray], x: np.ndarray, y: np.ndarray, left: bool = False) -> np.ndarray:
+    """Longest common extension of positions x < y: of data[x:] and data[y:] or,
+    with ``left``, of data[:x] and data[:y]. Binary lifting adds 2^k for each
+    level k, longest first, whose blocks next to the part matched so far agree;
+    no extension is as long as the last level's blocks. Past _SPLIT + 1 levels,
+    only the pairs whose 2^_SPLIT-letter blocks agree take the longer levels,
+    then every pair takes the shorter ones."""
+
+    def lift(x, y, h, ks):
+        for k in ks:
+            rank, step = levels[k], h.dtype.type(1 << k)
+            if left:
+                s = x - h - step
+                t = np.maximum(s, 0)
+                h += ((s >= 0) & (rank[t] == rank[t + (y - x)])) * step
+            else:
+                h += (rank[x + h] == rank[y + h]) * step
+        return h
+
+    top = len(levels) - 1
     h = np.zeros_like(x)
-    for k, rank in reversed(list(enumerate(levels))):
-        s = x - h - (1 << k)
-        t = np.maximum(s, 0)
-        h += ((s >= 0) & (rank[t] == rank[t + (y - x)])) * h.dtype.type(1 << k)
-    return h
+    if top > _SPLIT:
+        far = np.flatnonzero(lift(x, y, h, [_SPLIT]))
+        h[far] = lift(x[far], y[far], h[far], range(top - 1, _SPLIT - 1, -1))
+    return lift(x, y, h, range(min(top, _SPLIT) - 1, -1, -1))
 
 
 def _lyndon_lengths(rank) -> array:
@@ -339,24 +376,26 @@ def _runs_of_order(lam: np.ndarray, order: int, levels: list[np.ndarray]):
         # letter after it repeats its first letter (the sentinel never does).
         sel = codes[a] == codes[q]
         a, p, q = a[sel], p[sel], q[sel]
-        e = q + _lce_right(levels, a, q)
+        e = q + _lce(levels, a, q)
         # The end of the word ranks lowest, so a run ending the word is order 0.
         sel = (codes[e] > codes[e - p]) == bool(order)
         a, p, e = a[sel], p[sel], e[sel]
-        l_ext = _lce_left(levels, a, a + p)
+        l_ext = _lce(levels, a, a + p, left=True)
         keep = (l_ext < p) & (l_ext + e - a >= 2 * p)
         cols.append((a[keep] - l_ext[keep], e[keep] - 1, p[keep]))
     return cols
 
 
 def _sorted_runs(n: int, starts: np.ndarray, ends: np.ndarray, periods: np.ndarray):
-    """Sort 0-based run columns by (start, end); raise if an interval repeats."""
+    """Sort 0-based run columns by (start, end) in place; raise if an interval repeats."""
     key = starts * (n + 1) + ends
     order = np.argsort(key)
     key = key[order]
     if bool((key[1:] == key[:-1]).any()):
         raise RuntimeError("internal error: one interval reported twice")
-    return starts[order], ends[order], periods[order]
+    for col in (starts, ends, periods):
+        col[:] = col[order]
+    return starts, ends, periods
 
 
 def _runs_arrays(data: bytes):
@@ -370,7 +409,9 @@ def _runs_arrays(data: bytes):
     # A copy, not a view: a view would keep the last level's buffer alive on the heap.
     isa = isa.copy()
     del levels, lams  # the largest arrays of the call: free them before the sort
-    return _sorted_runs(n, *(np.concatenate(c).astype(np.int64) for c in zip(*cols))), isa
+    # The RunSet keeps these columns, sorted and made 1-based in place: made first
+    # in the freed memory, they leave the rest of it in one piece for what follows.
+    return _sorted_runs(n, *(np.concatenate(c, dtype=np.int64) for c in zip(*cols))), isa
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +457,8 @@ def _runs_python(data: bytes):
             if (e < n and data[e] > data[e - p]) == order and l + r >= p:
                 found.append((i - l, e - 1, p))
     cols = np.array(found, dtype=np.int64).reshape(len(found), 3).T
-    return _sorted_runs(n, *cols), isa
+    # Arrays of their own, as the RunSet keeps them: views would keep the table too.
+    return _sorted_runs(n, *map(np.ascontiguousarray, cols)), isa
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +481,9 @@ def _runs_and_ranks(w: Word):
     data = w.data
     engine = _runs_python if len(data) < SMALL_ENGINE_LIMIT else _runs_arrays
     (starts, ends, periods), isa = engine(data)
-    return RunSet(starts + 1, ends + 1, periods), isa
+    starts += 1
+    ends += 1
+    return RunSet(starts, ends, periods), isa
 
 
 def find_runs_bruteforce(w: Word) -> RunSet:

@@ -132,8 +132,25 @@ class TestEngineAgreement:
         assert runs.as_triples() == find_runs_bruteforce(word).as_triples()
 
 
+def fibonacci_word(n):
+    """The first n letters of the Fibonacci word over a, b."""
+    u, v = b"a", b"ab"
+    while len(v) < n:
+        u, v = v, v + u
+    return v[:n]
+
+
+def planted_square(letters, period, n):
+    """A seeded random word of n letters with a square of the given period in it."""
+    rng = random.Random(period * letters)
+    data = bytearray(rng.choices(b"abcd"[:letters], k=n))
+    at = rng.randrange(n - 2 * period)
+    data[at + period : at + 2 * period] = data[at : at + period]
+    return bytes(data)
+
+
 class TestExtensionQueries:
-    """Both LCE helpers of the arrays engine against plain slicing, over all pairs x < y."""
+    """The arrays engine's extension queries, both directions, against the letters."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet="abcd", min_size=2, max_size=64))
@@ -146,8 +163,8 @@ class TestExtensionQueries:
         levels = list(runs_module._prefix_doubling(np.frombuffer(data, dtype=np.uint8)))
         x, y = (np.array(c, dtype=np.int32) for c in zip(*itertools.combinations(range(n + 1), 2)))
         inside = y < n  # a common prefix needs a letter at y
-        right = runs_module._lce_right(levels, x[inside], y[inside])
-        left = runs_module._lce_left(levels, x, y)
+        right = runs_module._lce(levels, x[inside], y[inside])
+        left = runs_module._lce(levels, x, y, left=True)
         for k, (i, j) in enumerate(zip(x[inside].tolist(), y[inside].tolist())):
             lcp = 0
             while j + lcp < n and data[i + lcp] == data[j + lcp]:
@@ -158,6 +175,46 @@ class TestExtensionQueries:
             while lcs < i and data[i - 1 - lcs] == data[j - 1 - lcs]:
                 lcs += 1
             assert left[k] == lcs, (text, i, j)
+
+    @staticmethod
+    def letter_extensions(codes, p):
+        """Common extensions of every pair (x, x + p), counted from letter matches.
+
+        ``right[x]`` counts the matches data[x + i] == data[x + p + i] from
+        i = 0 on, for x + p < n; ``left[x]`` counts those before x, for x + p <= n.
+        """
+        x = np.arange(codes.size - p + 1)
+        match = np.append(codes[: x.size - 1] == codes[p:], False)
+        first_miss = np.minimum.accumulate(np.where(match, x.size, x)[::-1])[::-1]
+        last_miss = np.maximum.accumulate(np.where(match, -1, x))
+        return (first_miss - x)[:-1], x - 1 - np.append(-1, last_miss[:-1])
+
+    SQUARE_PERIODS = [*range(1, 100), 150, 299, 300, 301, 600]
+
+    @pytest.mark.parametrize("data, periods, split", [
+        pytest.param(b"a" * 5000, range(1, 5000, 7), True, id="unary"),
+        pytest.param(fibonacci_word(6765), [*range(1, 100), 144, 233, 377, 610, 987, 1597, 2584, 4181], True,
+                     id="fibonacci"),
+        pytest.param(run_rich_word(6).data, [*range(1, 100), 461, 1751, 6647, 12000], True, id="member6"),
+        pytest.param(planted_square(3, 300, 5000), SQUARE_PERIODS, True, id="square-ternary"),
+        pytest.param(planted_square(2, 300, 4000), SQUARE_PERIODS, True, id="square-binary"),
+        pytest.param(bytes(random.Random(5).choices(b"abcd", k=600)), range(1, 600), False, id="few-levels"),
+    ])
+    def test_long_words_against_letters(self, data, periods, split):
+        # Words with more than _SPLIT + 1 levels take both sides of the split:
+        # pairs whose 2^_SPLIT-letter blocks differ and pairs lifted past them.
+        # A word with fewer levels takes the plain lift.
+        codes = np.frombuffer(data, dtype=np.uint8)
+        levels = list(runs_module._prefix_doubling(codes))
+        assert (len(levels) > runs_module._SPLIT + 1) == split
+        long_pairs = 0
+        for p in periods:
+            x = np.arange(codes.size - p + 1, dtype=np.int32)
+            right, left = self.letter_extensions(codes, p)
+            assert np.array_equal(runs_module._lce(levels, x[:-1], x[:-1] + p), right), p
+            assert np.array_equal(runs_module._lce(levels, x, x + p, left=True), left), p
+            long_pairs += int((right >= 1 << runs_module._SPLIT).sum())
+        assert (long_pairs > 0) == split
 
 
 def sorted_levels(codes):
@@ -211,6 +268,55 @@ class TestPrefixDoubling:
     def test_all_letters_distinct(self):
         levels = self.check(bytes(range(0x7E, 0x20, -1)))
         assert len(levels) == 2
+
+
+def ternary_word(n):
+    return bytes(random.Random(n).choices(b"abc", k=n))
+
+
+def round_kinds(levels, n):
+    """Per round, whether it sorts: the packed pair keys of level k span (top + 2)^2
+    values, and a table of at most 2n entries ranks them without a sort."""
+    return ["sorted" if (int(lv.max()) + 2) ** 2 > 2 * n else "table" for lv in levels[:-1]]
+
+
+class TestDoublingLevelsAgainstBlocks:
+    """Every doubling level against the bytes of the blocks it ranks.
+
+    Level k holds the dense rank of each position's 2^k-letter slice of the
+    word among all such slices, sorted as bytes: a block cut off by the end
+    of the word is a shorter slice, so it ranks below its extensions and is
+    unique. The last level is the first whose ranks all differ.
+    """
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(ternary_word(n), id=f"abc-{n}") for n in (1000, 1420, 1733, 2000)
+    ] + [
+        pytest.param(b"a" * n, id=f"unary-{n}") for n in (1, 2, 3, 64, 1000, 5000)
+    ] + [
+        pytest.param(run_rich_word(6).data, id="member6"),
+        pytest.param(bytes(random.Random(9).choices(b"ab", k=3000)), id="binary-3000"),
+    ])
+    def test_levels_rank_the_blocks(self, data):
+        n = len(data)
+        levels = list(runs_module._prefix_doubling(np.frombuffer(data, dtype=np.uint8)))
+        assert levels[0].tolist() == [*data, -1]
+        assert levels[0].dtype == np.int16
+        for k, level in enumerate(levels[1:], 1):
+            blocks = [data[i : i + (1 << k)] for i in range(n)]
+            dense = {block: r for r, block in enumerate(sorted(set(blocks)))}
+            assert level.tolist() == [dense[block] for block in blocks] + [-1], k
+            top = len(dense) - 1
+            assert (top == n - 1) == (level is levels[-1]), k
+            assert level.dtype == (np.int32 if level is levels[-1] or top >= 0x7FFF else np.int16), k
+
+    @pytest.mark.parametrize("n", [1000, 1420, 1733, 2000])
+    def test_ternary_words_return_to_sorted_rounds(self, n):
+        # Level 0 holds letter codes (a = 97), so the first round sorts; the
+        # next few fit a table; the long blocks sort again.
+        data = ternary_word(n)
+        kinds = round_kinds(list(runs_module._prefix_doubling(np.frombuffer(data, dtype=np.uint8))), n)
+        assert kinds[0] == "sorted" and "table" in kinds and kinds[-1] == "sorted", kinds
 
 
 def binary_words(max_length):
