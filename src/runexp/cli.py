@@ -44,8 +44,8 @@ from .words import Word, power, read_word_file, word_from_text, write_word_file
 __all__ = ["Thresholds", "main"]
 
 # Bound on the max RSS per letter of any verb and listing flag, import
-# baseline included (getrusage): `verify`, the heaviest, reaches about 147
-# on built-in member 9 and 132 on member 10, `analyze` 95 on member 10.
+# baseline included (getrusage): `verify`, the heaviest, reaches about 148
+# on built-in member 9 and 129 on member 10, `analyze` 95 on member 10.
 BYTES_PER_LETTER = 150
 
 RATIO_TOLERANCE = Fraction(1, 10_000)
@@ -185,12 +185,15 @@ def _parse_threshold_overrides(pairs: Sequence[str] | None, names: Sequence[str]
     thresholds = Thresholds()
     for pair in pairs or ():
         name, sep, value = pair.partition("=")
-        if not sep or name not in names:
+        try:
+            if not sep or name not in names:
+                raise ValueError
+            thresholds = replace(thresholds, **{name: Fraction(value)})
+        except (ValueError, ZeroDivisionError):  # Fraction("1/0") divides by zero
             raise ValueError(
                 f"bad threshold override {pair!r}; expected NAME=VALUE with NAME in "
                 + ", ".join(sorted(names))
-            )
-        thresholds = replace(thresholds, **{name: Fraction(value)})
+            ) from None
     return thresholds
 
 

@@ -11,10 +11,10 @@ the word; order 1 is the reversed letter order with the end of the word
 highest, which reverses every suffix comparison. One suffix array
 suffices: both Lyndon arrays come from it, as next-smaller-rank searches
 over a tree of block minima, and the ranks of its prefix-doubling rounds
-(the rank of every 2^k-letter block; early rounds use a table, later ones
-one packed sort) answer the extension queries by binary lifting, which
-lifts only the few pairs whose short blocks agree through the long levels.
-The arrays engine has no Python loop over positions. Each run is reported
+(the dense rank of every 2^k-letter block; table rounds, then packed sorts)
+answer the extension queries by binary lifting, which lifts only the few
+pairs whose short blocks agree through the long levels. One candidate pass
+takes both orders; no Python loop runs over positions. Each run is reported
 exactly once, from its leftmost root (left extension < p) in its own order, so
 no dedup pass is needed; a repeated interval is an internal error. The
 brute-force engine applies the definition to every interval and serves
@@ -160,9 +160,10 @@ class RunStats:
 def _prefix_doubling(codes: np.ndarray) -> Iterator[np.ndarray]:
     """Yield the rank of every position's 2^k-letter block, k = 0, 1, ...
 
-    Each rank array has n + 1 entries, the last a -1 sentinel. A block
-    cut off by the end of the word ranks below every extension of it and
-    shares its rank with no other position, so two distinct positions
+    Each rank array has n + 1 entries, the last a -1 sentinel, and holds
+    dense ranks from 0: level 0 ranks the letters present, in letter order.
+    A block cut off by the end of the word ranks below every extension of
+    it and shares its rank with no other position, so two distinct positions
     share a level-k rank only if both full 2^k-letter blocks are equal.
     The rounds stop once all ranks differ: the last array is the inverse
     suffix array.
@@ -173,18 +174,18 @@ def _prefix_doubling(codes: np.ndarray) -> Iterator[np.ndarray]:
     Later rounds radix-sort: ``order`` (int32), the positions by rank from
     the last sorted round, lists them by r as the k positions from n - k on,
     then ``order[order >= k] - k``; one ``np.sort`` of rank << bits | index
-    along that list orders the pairs, its high bits the first ranks. A table
-    round drops ``order``: level 0 holds raw letter codes (``a`` is 97), so
-    sorted and table rounds can alternate on short words.
+    along that list orders the pairs, its high bits the first ranks. The
+    ranks only grow, so no table round follows a sorted one.
     A level is int16 while its ranks fit (the extension queries only
     compare them); the last level, the inverse suffix array, is int32.
     """
     n = int(codes.size)
     bits = n.bit_length()  # rank << bits | index fits in int64 for any n < 2^31
+    letters = np.cumsum(np.bincount(codes, minlength=256) > 0, dtype=np.int16) - 1
+    top = int(letters[-1])
     rank = np.full(n + 1, -1, dtype=np.int16)
-    rank[:n] = codes
-    top = int(codes.max(initial=0))
-    order = None  # positions by rank, kept from the last sorted round
+    np.take(letters, codes, out=rank[:n])
+    order = None  # positions by rank, kept from the first sorted round on
     k = 1
     while True:
         yield rank
@@ -200,7 +201,6 @@ def _prefix_doubling(codes: np.ndarray) -> Iterator[np.ndarray]:
             top = int(seen[-1]) - 1
             dense = seen[key]
             dense -= 1
-            order = None
             del seen, key
         else:
             if order is None:
@@ -249,9 +249,10 @@ def _lce(levels: list[np.ndarray], x: np.ndarray, y: np.ndarray, left: bool = Fa
     """Longest common extension of positions x < y: of data[x:] and data[y:] or,
     with ``left``, of data[:x] and data[:y]. Binary lifting adds 2^k for each
     level k, longest first, whose blocks next to the part matched so far agree;
-    no extension is as long as the last level's blocks. Past _SPLIT + 1 levels,
-    only the pairs whose 2^_SPLIT-letter blocks agree take the longer levels,
-    then every pair takes the shorter ones."""
+    no extension is as long as the last level's blocks. Only the pairs whose
+    blocks agree at level split = min(top, _SPLIT) take the levels above it,
+    then every pair takes the levels below. At split = top no two distinct
+    positions share a rank, so a word with few levels lifts no pair there."""
 
     def lift(x, y, h, ks):
         for k in ks:
@@ -265,11 +266,11 @@ def _lce(levels: list[np.ndarray], x: np.ndarray, y: np.ndarray, left: bool = Fa
         return h
 
     top = len(levels) - 1
+    split = min(top, _SPLIT)
     h = np.zeros_like(x)
-    if top > _SPLIT:
-        far = np.flatnonzero(lift(x, y, h, [_SPLIT]))
-        h[far] = lift(x[far], y[far], h[far], range(top - 1, _SPLIT - 1, -1))
-    return lift(x, y, h, range(min(top, _SPLIT) - 1, -1, -1))
+    far = np.flatnonzero(lift(x, y, h, [split]))
+    h[far] = lift(x[far], y[far], h[far], range(top - 1, split - 1, -1))
+    return lift(x, y, h, range(split - 1, -1, -1))
 
 
 def _lyndon_lengths(rank) -> array:
@@ -359,33 +360,6 @@ def _next_smaller(rank: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _runs_of_order(lam: np.ndarray, order: int, levels: list[np.ndarray]):
-    """Runs whose leftmost Lyndon root in letter order ``order`` is found by ``lam``.
-
-    Returns 0-based (start, end, period) columns. Positions are taken in
-    blocks of ``_BLOCK`` to bound the memory of the extension queries.
-    """
-    codes = levels[0]  # the letters, with -1 past the end
-    n = codes.size - 1
-    cols = []
-    for lo in range(0, n, _BLOCK):
-        a = np.arange(lo, min(lo + _BLOCK, n), dtype=np.int32)
-        p = lam[lo : lo + a.size]
-        q = a + p
-        # A root left-extended by fewer than p letters reaches 2p only if the
-        # letter after it repeats its first letter (the sentinel never does).
-        sel = codes[a] == codes[q]
-        a, p, q = a[sel], p[sel], q[sel]
-        e = q + _lce(levels, a, q)
-        # The end of the word ranks lowest, so a run ending the word is order 0.
-        sel = (codes[e] > codes[e - p]) == bool(order)
-        a, p, e = a[sel], p[sel], e[sel]
-        l_ext = _lce(levels, a, a + p, left=True)
-        keep = (l_ext < p) & (l_ext + e - a >= 2 * p)
-        cols.append((a[keep] - l_ext[keep], e[keep] - 1, p[keep]))
-    return cols
-
-
 def _sorted_runs(n: int, starts: np.ndarray, ends: np.ndarray, periods: np.ndarray):
     """Sort 0-based run columns by (start, end) in place; raise if an interval repeats."""
     key = starts * (n + 1) + ends
@@ -400,15 +374,37 @@ def _sorted_runs(n: int, starts: np.ndarray, ends: np.ndarray, periods: np.ndarr
 
 def _runs_arrays(data: bytes):
     """All runs of ``data`` as sorted 0-based (start, end, period) columns, and the
-    inverse suffix array."""
+    inverse suffix array.
+
+    A run is kept where ``lam`` of its letter order finds its leftmost Lyndon
+    root. Each block of ``_BLOCK`` positions takes both orders in one pass,
+    with an order column, to bound the memory of the extension queries.
+    """
     n = len(data)
     levels = list(_prefix_doubling(np.frombuffer(data, dtype=np.uint8)))
-    isa = levels[-1][:n]
+    codes, isa = levels[0], levels[-1][:n]  # the letters' ranks, with -1 past the end
     lams = [_next_smaller(isa), _next_smaller((n - 1) - isa)]
-    cols = [c for order, lam in enumerate(lams) for c in _runs_of_order(lam, order, levels)]
+    cols = []
+    for lo in range(0, n, _BLOCK):
+        a = np.arange(lo, min(lo + _BLOCK, n), dtype=np.int32)
+        order = np.arange(2 * a.size) >= a.size
+        a = np.concatenate((a, a))
+        p = np.concatenate([lam[lo : lo + _BLOCK] for lam in lams])
+        q = a + p
+        # A root left-extended by fewer than p letters reaches 2p only if the
+        # letter after it repeats its first letter (the sentinel never does).
+        sel = codes[a] == codes[q]
+        a, p, q, order = a[sel], p[sel], q[sel], order[sel]
+        e = q + _lce(levels, a, q)
+        # The end of the word ranks lowest, so a run ending the word is order 0.
+        sel = (codes[e] > codes[e - p]) == order
+        a, p, e = a[sel], p[sel], e[sel]
+        l_ext = _lce(levels, a, a + p, left=True)
+        keep = (l_ext < p) & (l_ext + e - a >= 2 * p)
+        cols.append((a[keep] - l_ext[keep], e[keep] - 1, p[keep]))
     # A copy, not a view: a view would keep the last level's buffer alive on the heap.
     isa = isa.copy()
-    del levels, lams  # the largest arrays of the call: free them before the sort
+    del levels, lams, codes  # the largest arrays of the call: free them before the sort
     # The RunSet keeps these columns, sorted and made 1-based in place: made first
     # in the freed memory, they leave the rest of it in one piece for what follows.
     return _sorted_runs(n, *(np.concatenate(c, dtype=np.int64) for c in zip(*cols))), isa

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -375,6 +377,16 @@ class TestVerify:
         assert code == 2
         assert "threshold" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "aab", "--threshold", "sigma_bound=1/0"),
+        ("certify-lower-bound", "--index", "1", "--threshold", "lower_bound_target=1/0"),
+    ])
+    def test_threshold_with_zero_denominator(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad threshold override {argv[-1]!r}")
+
     @pytest.mark.parametrize("argv, name, allowed", [
         (("verify", "aabaabaa"), "lower_bound_target",
          "cubic_runs_bound, runs_bound, sigma_bound, sigma_cubic_bound"),
@@ -513,3 +525,26 @@ class TestComparisonHelpers:
         assert all(entry["ok"] for entry in result.values())
         tight = bound_checks(stats, Thresholds(sigma_bound=Fraction(26, 24)))
         assert tight["sigma_lt_sigma_bound_n"]["ok"] is False
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """Each ``$ runexp ...`` line of README's console blocks, with the lines shown after it."""
+    examples = {}
+    for block in re.findall(r"^```console\n(.*?)^```", README.read_text(), flags=re.M | re.S):
+        for command in re.split(r"^\$ runexp ", block, flags=re.M)[1:]:
+            argv, _, out = command.partition("\n")
+            examples[argv] = out
+    return examples
+
+
+class TestReadmeExamples:
+    """README's unabridged console examples, byte for byte."""
+
+    @pytest.mark.parametrize("argv", ["generate 1", "runs aabaabaa", "analyze family:2", "table3 --max-i 4"])
+    def test_console_block(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert out == readme_examples()[argv]

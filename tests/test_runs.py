@@ -199,11 +199,15 @@ class TestExtensionQueries:
         pytest.param(planted_square(3, 300, 5000), SQUARE_PERIODS, True, id="square-ternary"),
         pytest.param(planted_square(2, 300, 4000), SQUARE_PERIODS, True, id="square-binary"),
         pytest.param(bytes(random.Random(5).choices(b"abcd", k=600)), range(1, 600), False, id="few-levels"),
+        # Exactly _SPLIT + 1 and _SPLIT + 2 levels: the last level is the split
+        # level, or the first above it.
+        pytest.param(planted_square(4, 20, 1000), SQUARE_PERIODS, False, id="split-levels-plus-1"),
+        pytest.param(planted_square(4, 40, 1000), SQUARE_PERIODS, True, id="split-levels-plus-2"),
     ])
     def test_long_words_against_letters(self, data, periods, split):
         # Words with more than _SPLIT + 1 levels take both sides of the split:
         # pairs whose 2^_SPLIT-letter blocks differ and pairs lifted past them.
-        # A word with fewer levels takes the plain lift.
+        # A word with fewer levels splits at its last level, where no pair agrees.
         codes = np.frombuffer(data, dtype=np.uint8)
         levels = list(runs_module._prefix_doubling(codes))
         assert (len(levels) > runs_module._SPLIT + 1) == split
@@ -218,10 +222,11 @@ class TestExtensionQueries:
 
 
 def sorted_levels(codes):
-    """Prefix doubling by stable sorts of the packed keys: the reference ranks."""
+    """Prefix doubling by stable sorts of the packed keys: the reference ranks,
+    from the dense ranks of the letters."""
     n = codes.size
     rank = np.full(n + 1, -1, dtype=np.int64)
-    rank[:n] = codes
+    rank[:n] = np.unique(codes, return_inverse=True)[1]
     k, levels = 1, [rank]
     while True:
         key = rank[:n] * (int(rank.max()) + 2)
@@ -286,7 +291,7 @@ class TestDoublingLevelsAgainstBlocks:
     Level k holds the dense rank of each position's 2^k-letter slice of the
     word among all such slices, sorted as bytes: a block cut off by the end
     of the word is a shorter slice, so it ranks below its extensions and is
-    unique. The last level is the first whose ranks all differ.
+    unique. The last level is the first after level 0 whose ranks all differ.
     """
 
     @pytest.mark.parametrize("data", [
@@ -300,23 +305,22 @@ class TestDoublingLevelsAgainstBlocks:
     def test_levels_rank_the_blocks(self, data):
         n = len(data)
         levels = list(runs_module._prefix_doubling(np.frombuffer(data, dtype=np.uint8)))
-        assert levels[0].tolist() == [*data, -1]
-        assert levels[0].dtype == np.int16
-        for k, level in enumerate(levels[1:], 1):
+        for k, level in enumerate(levels):
             blocks = [data[i : i + (1 << k)] for i in range(n)]
             dense = {block: r for r, block in enumerate(sorted(set(blocks)))}
             assert level.tolist() == [dense[block] for block in blocks] + [-1], k
             top = len(dense) - 1
-            assert (top == n - 1) == (level is levels[-1]), k
+            assert (k > 0 and top == n - 1) == (level is levels[-1]), k
             assert level.dtype == (np.int32 if level is levels[-1] or top >= 0x7FFF else np.int16), k
 
-    @pytest.mark.parametrize("n", [1000, 1420, 1733, 2000])
-    def test_ternary_words_return_to_sorted_rounds(self, n):
-        # Level 0 holds letter codes (a = 97), so the first round sorts; the
-        # next few fit a table; the long blocks sort again.
+    @pytest.mark.parametrize("n", [16, 1000, 1420, 1733, 2000])
+    def test_no_table_round_follows_a_sorted_one(self, n):
+        # The ranks only grow from the dense letter ranks of level 0, so the
+        # rounds fit a table first, even on 16 letters, and sort after.
         data = ternary_word(n)
         kinds = round_kinds(list(runs_module._prefix_doubling(np.frombuffer(data, dtype=np.uint8))), n)
-        assert kinds[0] == "sorted" and "table" in kinds and kinds[-1] == "sorted", kinds
+        assert kinds[0] == "table" and kinds[-1] == "sorted", kinds
+        assert kinds == sorted(kinds, key=["table", "sorted"].index), kinds
 
 
 def binary_words(max_length):
