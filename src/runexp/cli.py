@@ -45,7 +45,7 @@ __all__ = ["Thresholds", "main"]
 
 # Bound on the max RSS per letter of any verb and listing flag, import
 # baseline included (getrusage): `verify`, the heaviest, reaches about 148
-# on built-in member 9 and 129 on member 10, `analyze` 95 on member 10.
+# on built-in member 9 and 133 on member 10, `analyze` 95 on member 10.
 BYTES_PER_LETTER = 150
 
 RATIO_TOLERANCE = Fraction(1, 10_000)

@@ -192,6 +192,8 @@ def load_family(path) -> FamilySpec:
                     raise ValueError(f"{label}:{lineno}: empty seed")
                 seed_text = value
             elif key == "name":
+                if name is not None:
+                    raise ValueError(f"{label}:{lineno}: duplicate name line")
                 name = value
             else:
                 raise ValueError(f"{label}:{lineno}: unknown key {key!r}")

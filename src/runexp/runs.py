@@ -8,17 +8,17 @@ which the letter right after the run is smaller than the one p places
 before it, are longest-Lyndon prefixes. Order 0 is the given letter
 order with the end of the word lowest, and also serves runs that end
 the word; order 1 is the reversed letter order with the end of the word
-highest, which reverses every suffix comparison. One suffix array
-suffices: both Lyndon arrays come from it, as next-smaller-rank searches
-over a tree of block minima, and the ranks of its prefix-doubling rounds
-(the dense rank of every 2^k-letter block; table rounds, then packed sorts)
-answer the extension queries by binary lifting, which lifts only the few
-pairs whose short blocks agree through the long levels. One candidate pass
-takes both orders; no Python loop runs over positions. Each run is reported
-exactly once, from its leftmost root (left extension < p) in its own order, so
-no dedup pass is needed; a repeated interval is an internal error. The
-brute-force engine applies the definition to every interval and serves
-as an independent oracle.
+highest, which reverses every suffix comparison. One suffix array suffices:
+both Lyndon arrays come from it, as next-smaller-rank searches in one loop
+over a list of block-minimum levels, and the ranks of its prefix-doubling
+rounds (the dense rank of every 2^k-letter block; table rounds, then packed
+sorts) answer the extension queries by binary lifting, which lifts only the
+few pairs whose short blocks agree through the long levels. One candidate
+pass takes both orders; no Python loop runs over positions. Each run is
+reported exactly once, from its leftmost root (left extension < p) in its
+own order, so no dedup pass is needed; a repeated interval is an internal
+error. The brute-force engine applies the definition to every interval and
+serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -157,7 +156,7 @@ class RunStats:
 # suffix-array plumbing (numpy path)
 # ---------------------------------------------------------------------------
 
-def _prefix_doubling(codes: np.ndarray) -> Iterator[np.ndarray]:
+def _prefix_doubling(data: bytes) -> Iterator[np.ndarray]:
     """Yield the rank of every position's 2^k-letter block, k = 0, 1, ...
 
     Each rank array has n + 1 entries, the last a -1 sentinel, and holds
@@ -179,12 +178,14 @@ def _prefix_doubling(codes: np.ndarray) -> Iterator[np.ndarray]:
     A level is int16 while its ranks fit (the extension queries only
     compare them); the last level, the inverse suffix array, is int32.
     """
-    n = int(codes.size)
+    n = len(data)
     bits = n.bit_length()  # rank << bits | index fits in int64 for any n < 2^31
-    letters = np.cumsum(np.bincount(codes, minlength=256) > 0, dtype=np.int16) - 1
-    top = int(letters[-1])
+    every = bytes(range(256))
+    present = every.translate(None, every.translate(None, data))  # the letters, in order
+    top = len(present) - 1
     rank = np.full(n + 1, -1, dtype=np.int16)
-    np.take(letters, codes, out=rank[:n])
+    # Each letter's rank through a 256-byte table: no 8-byte index per letter.
+    rank[:n] = np.frombuffer(data.translate(bytes.maketrans(present, every[: top + 1])), np.uint8)
     order = None  # positions by rank, kept from the first sorted round on
     k = 1
     while True:
@@ -306,57 +307,40 @@ def _lyndon_lengths(rank) -> array:
 def _next_smaller(rank: np.ndarray) -> np.ndarray:
     """:func:`_lyndon_lengths` over numpy ranks, with no Python loop per position.
 
-    A tree of aligned-block minima holds, at level j, the least rank in
-    each block of 2^j positions. The word is followed by -1, so the block
-    holding position n is -1 at every level; the levels take about 2n
-    int32 in all. The search from position i stands at the start of a
-    block, first block i + 1 of level 0. It ascends: while the block's
-    minimum is not below the rank of i, it skips the block and moves to
-    the parent of the block after it; that parent starts where the
-    skipped block ended. The block that stops the ascent holds the
-    answer, its first position of lower rank: the search descends to it,
-    taking the left child whenever that child's minimum is below the
-    rank. Positions are searched ``_BLOCK`` at a time.
+    ``mins`` holds one int32 array per level, about 2n in all: level 0 is
+    the ranks and a -1 sentinel, each level above the pairwise minimum of
+    the level below padded with -1 to an even length, so entry b of level j
+    is the least rank of the 2^j positions from b * 2^j, -1 for the block
+    of position n. The search from position i starts at block i + 1 of
+    level 0, ``_BLOCK`` positions at a time, in one loop over the levels:
+    where the block's minimum is below the rank of i, it stops and descends
+    through the levels below, taking the left child while that child's
+    minimum is below the rank; every other position moves to the parent of
+    the next block, which starts where its block ended.
     """
     n = int(rank.size)
-    sizes = [(n >> j) + 1 for j in range(max(n.bit_length(), 1))]
-    offsets = list(accumulate(sizes, initial=0))
-    tree = np.empty(offsets[-1], dtype=np.int32)
-    tree[:n] = rank
-    for j, (off, size) in enumerate(zip(offsets, sizes)):
-        if j:
-            below = tree[offsets[j - 1] : offsets[j - 1] + 2 * (size - 1)]
-            np.minimum(below[0::2], below[1::2], out=tree[off : off + size - 1])
-        tree[off + size - 1] = -1
+    mins = [np.concatenate((rank, [-1]), dtype=np.int32)]
+    while mins[-1].size > 2:
+        below = mins[-1]
+        if below.size % 2:
+            below = np.concatenate((below, [-1]), dtype=np.int32)
+        mins.append(np.minimum(below[0::2], below[1::2]))
     lam = np.empty(n, dtype=np.int32)
     for lo in range(0, n, _BLOCK):
         pos = np.arange(lo, min(lo + _BLOCK, n))
-        v = tree[pos]
-        b = pos + 1
-        stopped = []  # per level that stopped some ascents: level, blocks, ranks, positions
-        for j, off in enumerate(offsets[:-1]):
-            stop = tree[off + b] < v
+        v, b = mins[0][pos], pos + 1
+        for j, level in enumerate(mins):
+            stop = level[b] < v
             if stop.any():
-                stopped.append((j, b[stop], v[stop], pos[stop]))
+                c, u, at = b[stop], v[stop], pos[stop]
+                for lower in reversed(mins[:j]):
+                    c <<= 1
+                    c += lower[c] >= u
+                lam[at] = c - at
                 go = ~stop
                 pos, v, b = pos[go], v[go], b[go]
-                if not pos.size:
-                    break
             b += 1
             b >>= 1
-        # Descend all at once, highest stopping level first: the positions
-        # still descending at level j are a prefix.
-        stopped.reverse()
-        c, v, pos = (np.concatenate(col) for col in list(zip(*stopped))[1:])
-        ends = list(accumulate(g[1].size for g in stopped))
-        g = 0
-        for j in range(stopped[0][0] - 1, -1, -1):
-            while g + 1 < len(stopped) and stopped[g + 1][0] > j:
-                g += 1
-            head = c[: ends[g]]
-            head <<= 1
-            head += tree[offsets[j] + head] >= v[: ends[g]]
-        lam[pos] = c - pos
     return lam
 
 
@@ -381,7 +365,7 @@ def _runs_arrays(data: bytes):
     with an order column, to bound the memory of the extension queries.
     """
     n = len(data)
-    levels = list(_prefix_doubling(np.frombuffer(data, dtype=np.uint8)))
+    levels = list(_prefix_doubling(data))
     codes, isa = levels[0], levels[-1][:n]  # the letters' ranks, with -1 past the end
     lams = [_next_smaller(isa), _next_smaller((n - 1) - isa)]
     cols = []

@@ -96,6 +96,18 @@ class Word:
         return f"Word({shown!r}, n={len(self.data)})"
 
 
+def _check_rule(sym: str, image: str) -> None:
+    """Refuse a rule whose source is not one letter or whose image is empty or
+    holds a character other than a letter (ASCII 0x21..0x7E)."""
+    if len(sym) != 1 or sym not in _PRINTABLE:
+        raise ValueError(f"rule source must be a single symbol in ASCII 0x21..0x7E, got {sym!r}")
+    if not image:
+        raise ValueError(f"rule for {sym!r} has an empty image")
+    for ch in image:
+        if ch not in _PRINTABLE:
+            raise ValueError(f"rule for {sym!r} contains {ch!r}, outside the letters 0x21..0x7E")
+
+
 class Morphism:
     """A letter-to-word substitution map, extended to words by concatenation.
 
@@ -110,13 +122,7 @@ class Morphism:
         clean: dict[str, str] = {}
         target: set[str] = set()
         for sym, image in rules.items():
-            if len(sym) != 1 or sym not in _PRINTABLE:
-                raise ValueError(f"rule source must be a single printable ASCII symbol, got {sym!r}")
-            if not image:
-                raise ValueError(f"rule for {sym!r} has an empty image")
-            for ch in image:
-                if ch not in _PRINTABLE:
-                    raise ValueError(f"rule for {sym!r} contains non-printable letter {ch!r}")
+            _check_rule(sym, image)
             clean[sym] = image
             target.update(image)
         table: list[bytes | None] = [None] * 256
@@ -205,14 +211,10 @@ def write_word_file(w: Word, path) -> None:
 
 
 def parse_rule_line(line: str) -> tuple[str, str]:
-    """Parse one ``X -> image`` rule line."""
+    """Parse one ``X -> image`` rule line, checked as :class:`Morphism` checks rules."""
     if "->" not in line:
         raise ValueError(f"expected 'X -> image', got {line!r}")
     left, right = line.split("->", 1)
-    sym = left.strip()
-    image = right.strip()
-    if len(sym) != 1:
-        raise ValueError(f"rule source must be a single symbol, got {sym!r}")
-    if not image:
-        raise ValueError(f"rule for {sym!r} has an empty image")
+    sym, image = left.strip(), right.strip()
+    _check_rule(sym, image)
     return sym, image

@@ -283,6 +283,14 @@ class TestGenerateAndRuns:
         assert code == 0
         assert json.loads(out)["word"] == "fib:5"
 
+    def test_family_spec_error_names_file_and_line(self, capsys, tmp_path):
+        spec = tmp_path / "bad.fam"
+        spec.write_text("seed = a\n[inner]\na -> a b\n")
+        code, out, err = run_cli(capsys, "generate", "3", "--family-spec", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {spec}:3: rule for 'a' contains ' ', outside the letters 0x21..0x7E\n"
+
     def test_non_growing_family_at_a_huge_index(self, capsys, tmp_path):
         # built in O(log i) squarings, not one step per index
         spec = tmp_path / "swap.fam"

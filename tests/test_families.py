@@ -258,7 +258,10 @@ class TestFamilyFiles:
             ("mode = fast\nseed = a\n[inner]\na -> a\n", "unknown key"),
             ("seed = a\n[inner]\nab -> a\n", "single symbol"),
             ("seed = ax\n[inner]\na -> a\n", "position 2"),
-            ("seed = a\n[inner]\na -> a\n[outer]\na -> 0 1\n", "non-printable letter ' '"),
+            ("seed = a\n[inner]\na -> a\n[outer]\na -> 0 1\n", ":5: rule for 'a' contains ' ', outside the letters"),
+            ("seed = a\n[inner]\na -> a b\n", ":3: rule for 'a' contains ' '"),
+            ("seed = a\n[inner]\n\x7f -> a\n", ":3: rule source must be a single symbol"),
+            ("name = x\nseed = a\nname = y\n[inner]\na -> a\n", ":3: duplicate name line"),
         ],
     )
     def test_malformed_files(self, tmp_path, content, message):

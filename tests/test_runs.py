@@ -160,7 +160,7 @@ class TestExtensionQueries:
     def test_against_slicing(self, text):
         data = w(text, "abcd").data
         n = len(data)
-        levels = list(runs_module._prefix_doubling(np.frombuffer(data, dtype=np.uint8)))
+        levels = list(runs_module._prefix_doubling(data))
         x, y = (np.array(c, dtype=np.int32) for c in zip(*itertools.combinations(range(n + 1), 2)))
         inside = y < n  # a common prefix needs a letter at y
         right = runs_module._lce(levels, x[inside], y[inside])
@@ -209,7 +209,7 @@ class TestExtensionQueries:
         # pairs whose 2^_SPLIT-letter blocks differ and pairs lifted past them.
         # A word with fewer levels splits at its last level, where no pair agrees.
         codes = np.frombuffer(data, dtype=np.uint8)
-        levels = list(runs_module._prefix_doubling(codes))
+        levels = list(runs_module._prefix_doubling(data))
         assert (len(levels) > runs_module._SPLIT + 1) == split
         long_pairs = 0
         for p in periods:
@@ -246,7 +246,7 @@ class TestPrefixDoubling:
 
     def check(self, data):
         codes = np.frombuffer(data, dtype=np.uint8)
-        levels = list(runs_module._prefix_doubling(codes))
+        levels = list(runs_module._prefix_doubling(data))
         expected = sorted_levels(codes)
         assert len(levels) == len(expected)
         for level, ranks in zip(levels, expected):
@@ -273,6 +273,10 @@ class TestPrefixDoubling:
     def test_all_letters_distinct(self):
         levels = self.check(bytes(range(0x7E, 0x20, -1)))
         assert len(levels) == 2
+
+    def test_every_byte_value(self):
+        # Level 0 ranks the letters through a 256-byte table: ranks 0 to 255.
+        self.check(bytes(range(256)) * 3 + bytes(range(255, -1, -1)))
 
 
 def ternary_word(n):
@@ -304,7 +308,7 @@ class TestDoublingLevelsAgainstBlocks:
     ])
     def test_levels_rank_the_blocks(self, data):
         n = len(data)
-        levels = list(runs_module._prefix_doubling(np.frombuffer(data, dtype=np.uint8)))
+        levels = list(runs_module._prefix_doubling(data))
         for k, level in enumerate(levels):
             blocks = [data[i : i + (1 << k)] for i in range(n)]
             dense = {block: r for r, block in enumerate(sorted(set(blocks)))}
@@ -318,7 +322,7 @@ class TestDoublingLevelsAgainstBlocks:
         # The ranks only grow from the dense letter ranks of level 0, so the
         # rounds fit a table first, even on 16 letters, and sort after.
         data = ternary_word(n)
-        kinds = round_kinds(list(runs_module._prefix_doubling(np.frombuffer(data, dtype=np.uint8))), n)
+        kinds = round_kinds(list(runs_module._prefix_doubling(data)), n)
         assert kinds[0] == "table" and kinds[-1] == "sorted", kinds
         assert kinds == sorted(kinds, key=["table", "sorted"].index), kinds
 
@@ -335,7 +339,7 @@ class TestNextSmaller:
     @staticmethod
     def check(data):
         n = len(data)
-        isa = list(runs_module._prefix_doubling(np.frombuffer(data, dtype=np.uint8)))[-1][:n]
+        isa = list(runs_module._prefix_doubling(data))[-1][:n]
         for rank in (isa, (n - 1) - isa):
             got = runs_module._next_smaller(rank)
             assert got.dtype == np.int32
@@ -353,6 +357,16 @@ class TestNextSmaller:
     @pytest.mark.parametrize("data", [b"a" + b"b" * 5000, b"b" * 5000 + b"a", b"a" * 5000])
     def test_long_descents(self, data):
         # In a+b^k every b's next greater suffix is the end of the word.
+        self.check(data)
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(ternary_word(runs_module._BLOCK + d), id=f"abc-block{d:+d}") for d in (-1, 0, 1)
+    ] + [
+        # Every b searches past the block of positions it is in, up to the end of the word.
+        pytest.param(b"a" + b"b" * 70_000, id="a-b70000"),
+        pytest.param(b"b" * 70_000 + b"a", id="b70000-a"),
+    ])
+    def test_blocks_of_positions(self, data):
         self.check(data)
 
     @pytest.mark.parametrize("index", range(1, 8))
