@@ -3,8 +3,8 @@
 Verbs: generate (emit a family word), analyze (run statistics), runs
 (dump the run listing), verify (oracle comparison + handle checks +
 bound checks, JSON report), table3 (reproduce the built-in family
-table against embedded reference values), certify-lower-bound (exact
-rational check that sigma/n beats the target on a family word power).
+table against embedded reference values), certify-lower-bound (each run
+checked, then sigma/n > target exactly, on a family word power).
 
 Every input is admitted by one memory rule before it is built or read:
 its letter count (a family member's predicted length, a word file's
@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .families import builtin_family, count_text, generate_member, load_family, predicted_length
 from .handles import verify_handle_properties
@@ -37,7 +37,7 @@ from .runs import (
     find_runs_bruteforce,
     fraction_to_decimal,
     run_stats,
-    write_run_listing,
+    validate_runs,
 )
 from .words import Word, power, read_word_file, word_from_text, write_word_file
 
@@ -225,17 +225,26 @@ def _stats_cells(stats: RunStats) -> dict[str, str]:
     }
 
 
+def _run_rows(runs: RunSet) -> Iterator[tuple[int, int, int, int, str]]:
+    """One row per run: i, j, p, length and the reduced exponent as "num/den"."""
+    for r in runs:
+        yield r.i, r.j, r.p, r.length, "%d/%d" % r.exponent.as_integer_ratio()
+
+
+def _write_run_listing(runs: RunSet, out: TextIO) -> None:
+    out.writelines("%d\t%d\t%d\t%d\t%s\n" % row for row in _run_rows(runs))
+
+
 def _write_json_with_runs(payload: dict, runs: RunSet, out: TextIO) -> None:
-    """``json.dump`` of ``payload`` plus a last key "runs", one [i, j, p, length,
-    exponent] row per run, with ``indent=2``; the rows are written one at a time
-    instead of being built as one list."""
+    """``json.dump`` of ``payload`` plus a last key "runs", the rows of
+    :func:`_run_rows` as lists, with ``indent=2``; the rows are written one at
+    a time instead of being built as one list."""
     out.write(json.dumps(payload, indent=2)[:-2])  # all but the closing "\n}"
     out.write(',\n  "runs": [')
     sep = "\n"
-    for r in runs:
-        e = r.exponent
-        out.write(f'{sep}    [\n      {r.i},\n      {r.j},\n      {r.p},\n      {r.length},\n'
-                  f'      "{e.numerator}/{e.denominator}"\n    ]')
+    row_text = '    [\n      %d,\n      %d,\n      %d,\n      %d,\n      "%s"\n    ]'
+    for row in _run_rows(runs):
+        out.write(sep + row_text % row)
         sep = ",\n"
     out.write("\n  ]\n}" if len(runs) else "]\n}")
 
@@ -262,7 +271,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         emit_csv(["word", *cells.keys()], [[label, *cells.values()]], out)
     if args.runs:
         out.write("\n")
-        write_run_listing(runs, out)
+        _write_run_listing(runs, out)
     return 0
 
 
@@ -271,9 +280,9 @@ def cmd_runs(args: argparse.Namespace) -> int:
     runs = find_runs(word)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
-            write_run_listing(runs, fh)
+            _write_run_listing(runs, fh)
     else:
-        write_run_listing(runs, sys.stdout)
+        _write_run_listing(runs, sys.stdout)
     return 0
 
 
@@ -380,7 +389,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise UsageError(f"--power must be >= 1, got {count_text(args.power)}")
     member, _ = _family_member(args.index, None, copies=args.power)
     word = power(member, args.power)
-    stats = run_stats(word, find_runs(word))
+    runs = find_runs(word)
+    stats = run_stats(word, runs)
     ratio = Fraction(stats.sigma, stats.n)
     verdict = ratio > target
     print(f"word: run-rich member {args.index} to the power {args.power}")
@@ -388,6 +398,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
     print(f"sigma: {stats.sigma}")
     print(f"sigma/n: {ratio} = {fraction_to_decimal(ratio, 6)} (6 decimals)")
     print(f"target: {target} = {fraction_to_decimal(target, 6)} (6 decimals)")
+    try:
+        validate_runs(word, runs)
+    except ValueError as exc:  # the sum is not one over runs: no verdict on it holds
+        print(f"verdict: FAIL ({exc})")
+        return 1
+    print(f"runs checked against the definition: {len(runs):,}")
     print(f"verdict: {'PASS' if verdict else 'FAIL'} (exact comparison sigma/n > target)")
     return 0 if verdict else 1
 

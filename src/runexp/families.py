@@ -190,7 +190,7 @@ def load_family(path) -> FamilySpec:
                     raise ValueError(f"{label}:{lineno}: duplicate seed line")
                 if not value:
                     raise ValueError(f"{label}:{lineno}: empty seed")
-                seed_text = value
+                seed_text, seed_line = value, lineno
             elif key == "name":
                 if name is not None:
                     raise ValueError(f"{label}:{lineno}: duplicate name line")
@@ -215,9 +215,12 @@ def load_family(path) -> FamilySpec:
     outer = Morphism(rules["outer"]) if rules["outer"] else Morphism(
         {s: s for s in sorted(inner.source_alphabet)}
     )
-    base = os.path.splitext(os.path.basename(label))[0]
     try:
         seed = word_from_text(seed_text, inner.source_alphabet)
+    except ValueError as exc:
+        raise ValueError(f"{label}:{seed_line}: {exc}") from None
+    base = os.path.splitext(os.path.basename(label))[0]
+    try:
         return FamilySpec(name=name or base, inner=inner, outer=outer, seed=seed)
     except ValueError as exc:
         raise ValueError(f"{label}: {exc}") from None

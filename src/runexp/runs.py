@@ -27,12 +27,12 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import periods as _periods
-from .words import Word
+from .words import Word, letters_of
 
 __all__ = [
     "Run",
@@ -44,8 +44,6 @@ __all__ = [
     "fraction_to_decimal",
     "validate_run",
     "validate_runs",
-    "run_listing_lines",
-    "write_run_listing",
 ]
 
 # Inputs shorter than this are processed with plain-Python primitives;
@@ -78,10 +76,6 @@ class Run(NamedTuple):
         """length / p, reduced; at least 2 for a run."""
         return Fraction(self.length, self.p)
 
-    @property
-    def is_cubic(self) -> bool:
-        return self.length >= 3 * self.p
-
 
 class RunSet:
     """All runs of one word, sorted by (i, j), positions 1-based.
@@ -106,11 +100,8 @@ class RunSet:
 
     @classmethod
     def from_runs(cls, runs: Iterable[tuple[int, int, int]]) -> "RunSet":
-        triples = sorted((r[0], r[1], r[2]) for r in runs)
-        if not triples:
-            return cls(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
-        cols = np.array(triples, dtype=np.int64)
-        return cls(cols[:, 0].copy(), cols[:, 1].copy(), cols[:, 2].copy())
+        cols = np.array(sorted((r[0], r[1], r[2]) for r in runs), dtype=np.int64).reshape(-1, 3)
+        return cls(*map(np.ascontiguousarray, cols.T))
 
     def __len__(self) -> int:
         return int(self.starts.size)
@@ -133,9 +124,6 @@ class RunSet:
             and bool(np.array_equal(self.ends, other.ends))
             and bool(np.array_equal(self.periods, other.periods))
         )
-
-    def as_triples(self) -> list[tuple[int, int, int]]:
-        return list(zip(self.starts.tolist(), self.ends.tolist(), self.periods.tolist()))
 
     def __repr__(self) -> str:
         return f"RunSet({len(self)} runs)"
@@ -180,12 +168,11 @@ def _prefix_doubling(data: bytes) -> Iterator[np.ndarray]:
     """
     n = len(data)
     bits = n.bit_length()  # rank << bits | index fits in int64 for any n < 2^31
-    every = bytes(range(256))
-    present = every.translate(None, every.translate(None, data))  # the letters, in order
+    present = letters_of(data)
     top = len(present) - 1
     rank = np.full(n + 1, -1, dtype=np.int16)
     # Each letter's rank through a 256-byte table: no 8-byte index per letter.
-    rank[:n] = np.frombuffer(data.translate(bytes.maketrans(present, every[: top + 1])), np.uint8)
+    rank[:n] = np.frombuffer(data.translate(bytes.maketrans(present, bytes(range(top + 1)))), np.uint8)
     order = None  # positions by rank, kept from the first sorted round on
     k = 1
     while True:
@@ -586,16 +573,3 @@ def fraction_to_decimal(value: Fraction, digits: int, *, rounding: str = "half-u
     whole, frac = divmod(q, scale)
     text = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
     return f"-{text}" if negative and q else text
-
-
-def run_listing_lines(runs: RunSet) -> Iterator[str]:
-    """Tab-separated listing: i, j, p, length, reduced exponent."""
-    for r in runs:
-        e = r.exponent
-        yield f"{r.i}\t{r.j}\t{r.p}\t{r.length}\t{e.numerator}/{e.denominator}"
-
-
-def write_run_listing(runs: RunSet, stream: TextIO) -> None:
-    for line in run_listing_lines(runs):
-        stream.write(line)
-        stream.write("\n")

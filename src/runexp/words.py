@@ -24,6 +24,12 @@ _FILE_BYTES = frozenset(range(0x21, 0x7F))
 _PRINTABLE = frozenset(map(chr, _FILE_BYTES))
 
 
+def letters_of(data: bytes) -> bytes:
+    """The distinct bytes of ``data`` in increasing order, by two ``bytes.translate`` deletions."""
+    every = bytes(range(256))
+    return every.translate(None, every.translate(None, data))
+
+
 def _as_alphabet(symbols: Iterable[str]) -> frozenset[str]:
     alpha = frozenset(symbols)
     for sym in alpha:
@@ -196,12 +202,12 @@ def read_word_file(path) -> Word:
         raw = f.read()
     if raw.endswith(b"\n"):
         raw = raw[:-1]
-    distinct = set(raw)
-    if not distinct <= _FILE_BYTES:
+    distinct = letters_of(raw)
+    if not _FILE_BYTES.issuperset(distinct):
         # Locate the first offender only on the failure path.
         pos, byte = next((pos, b) for pos, b in enumerate(raw, start=1) if b not in _FILE_BYTES)
         raise ValueError(f"{path}: byte {byte:#04x} at position {pos} is not allowed in a word file")
-    return Word(raw, {chr(b) for b in distinct})
+    return Word(raw, distinct.decode("ascii"))
 
 
 def write_word_file(w: Word, path) -> None:

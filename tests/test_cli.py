@@ -20,7 +20,7 @@ from runexp.cli import (
     sigma_cell_matches,
 )
 from runexp.families import generate_member
-from runexp.runs import find_runs, run_stats
+from runexp.runs import Run, RunSet, find_runs, run_stats
 from runexp.words import word_from_text
 
 
@@ -107,6 +107,14 @@ class TestAnalyze:
             for r in find_runs(word_from_text(text, set(text)))
         ]
         assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_json_rows_match_the_runs_listing(self, capsys):
+        _, listing, _ = run_cli(capsys, "runs", "family:5")
+        _, out, _ = run_cli(capsys, "analyze", "family:5", "--runs", "--format", "json")
+        rows = [line.split("\t") for line in listing.splitlines()]
+        payload = json.loads(out)
+        assert len(rows) == payload["rho"] > 0
+        assert [list(map(str, row)) for row in payload["runs"]] == rows
 
     def test_word_file_input(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
@@ -478,6 +486,30 @@ class TestCertify:
         )
         assert code == 0
         assert "verdict: PASS" in out
+
+    def test_run_breaking_the_definition_fails(self, capsys, monkeypatch):
+        # member 2 squared has 238 letters and not period 1
+        real = runs_module._runs_and_ranks
+        bad = Run(1, 238, 1)
+
+        def with_bad_run(word):
+            runs, isa = real(word)
+            return RunSet.from_runs([*runs, bad]), isa
+
+        monkeypatch.setattr(runs_module, "_runs_and_ranks", with_bad_run)
+        code, out, err = run_cli(capsys, "certify-lower-bound", "--index", "2", "--power", "2")
+        assert code == 1
+        assert err == ""
+        assert "runs checked against the definition" not in out
+        assert out.splitlines()[-1].startswith("verdict: FAIL (run [1..238] claims period 1 but ")
+
+    def test_runs_checked_line(self, capsys):
+        code, out, _ = run_cli(capsys, "certify-lower-bound", "--index", "4")
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            "runs checked against the definition: 1,607",
+            "verdict: FAIL (exact comparison sigma/n > target)",
+        ]
 
     def test_bad_power(self, capsys):
         code, out, err = run_cli(capsys, "certify-lower-bound", "--power", "0")

@@ -257,7 +257,8 @@ class TestFamilyFiles:
             ("seed =\n[inner]\na -> a\n", "empty seed"),
             ("mode = fast\nseed = a\n[inner]\na -> a\n", "unknown key"),
             ("seed = a\n[inner]\nab -> a\n", "single symbol"),
-            ("seed = ax\n[inner]\na -> a\n", "position 2"),
+            ("seed = ax\n[inner]\na -> a\n", ":1: letter 'x' at position 2"),
+            ("# seed on line 3\n\nseed = ax\n[inner]\na -> a\n", ":3: letter 'x' at position 2"),
             ("seed = a\n[inner]\na -> a\n[outer]\na -> 0 1\n", ":5: rule for 'a' contains ' ', outside the letters"),
             ("seed = a\n[inner]\na -> a b\n", ":3: rule for 'a' contains ' '"),
             ("seed = a\n[inner]\n\x7f -> a\n", ":3: rule source must be a single symbol"),

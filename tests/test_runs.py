@@ -21,12 +21,13 @@ from runexp.runs import (
     find_runs,
     find_runs_bruteforce,
     fraction_to_decimal,
-    run_listing_lines,
     run_stats,
     validate_run,
     validate_runs,
 )
 from runexp.words import word_from_text
+
+from oracles import as_triples, is_cubic
 
 
 def w(text, alphabet="abc"):
@@ -44,16 +45,16 @@ def engine_runs(engine, word):
 
 class TestExamples:
     def test_no_repetition(self):
-        assert find_runs(w("abc")).as_triples() == []
+        assert as_triples(find_runs(w("abc"))) == []
 
     def test_unary_word(self):
-        assert find_runs(w("aaaa")).as_triples() == [(1, 4, 1)]
+        assert as_triples(find_runs(w("aaaa"))) == [(1, 4, 1)]
 
     def test_square(self):
-        assert find_runs(w("abab")).as_triples() == [(1, 4, 2)]
+        assert as_triples(find_runs(w("abab"))) == [(1, 4, 2)]
 
     def test_overlapping_runs(self):
-        assert find_runs(w("aabaabaa")).as_triples() == [
+        assert as_triples(find_runs(w("aabaabaa"))) == [
             (1, 2, 1),
             (1, 8, 3),
             (4, 5, 1),
@@ -78,8 +79,8 @@ class TestRunType:
         r = Run(1, 8, 3)
         assert r.length == 8
         assert r.exponent == Fraction(8, 3)
-        assert not r.is_cubic
-        assert Run(1, 9, 3).is_cubic
+        assert not is_cubic(r)
+        assert is_cubic(Run(1, 9, 3))
 
     def test_runset_access(self):
         rs = find_runs(w("aabaabaa"))
@@ -94,9 +95,9 @@ class TestEngineAgreement:
         for length in range(2, 13):
             for bits in itertools.product("ab", repeat=length - 1):
                 word = w("a" + "".join(bits), "ab")
-                expected = find_runs_bruteforce(word).as_triples()
-                assert engine_runs("python", word).as_triples() == expected
-                assert engine_runs("arrays", word).as_triples() == expected
+                expected = as_triples(find_runs_bruteforce(word))
+                assert as_triples(engine_runs("python", word)) == expected
+                assert as_triples(engine_runs("arrays", word)) == expected
 
     def test_unary_and_one_letter_changed_up_to_300(self):
         rng = random.Random(5)
@@ -105,23 +106,23 @@ class TestEngineAgreement:
             changed = "b" * pos + "ac"[length % 2] + "b" * (length - pos - 1)
             for text in ("b" * length, changed):
                 word = w(text)
-                expected = find_runs_bruteforce(word).as_triples()
-                assert engine_runs("python", word).as_triples() == expected, text
-                assert engine_runs("arrays", word).as_triples() == expected, text
+                expected = as_triples(find_runs_bruteforce(word))
+                assert as_triples(engine_runs("python", word)) == expected, text
+                assert as_triples(engine_runs("arrays", word)) == expected, text
 
     @settings(max_examples=250, deadline=None)
     @given(st.text(alphabet="abc", min_size=2, max_size=260))
     def test_random_ternary(self, text):
         word = w(text)
-        expected = find_runs_bruteforce(word).as_triples()
-        assert engine_runs("python", word).as_triples() == expected
-        assert engine_runs("arrays", word).as_triples() == expected
+        expected = as_triples(find_runs_bruteforce(word))
+        assert as_triples(engine_runs("python", word)) == expected
+        assert as_triples(engine_runs("arrays", word)) == expected
 
     @settings(max_examples=120, deadline=None)
     @given(st.text(alphabet="0123", min_size=2, max_size=120))
     def test_random_quaternary(self, text):
         word = w(text, "0123")
-        assert find_runs(word).as_triples() == find_runs_bruteforce(word).as_triples()
+        assert as_triples(find_runs(word)) == as_triples(find_runs_bruteforce(word))
 
     @settings(max_examples=80, deadline=None)
     @given(st.text(alphabet="ab", min_size=SMALL_ENGINE_LIMIT, max_size=SMALL_ENGINE_LIMIT + 140))
@@ -129,7 +130,7 @@ class TestEngineAgreement:
         word = w(text, "ab")
         runs, isa = runs_module._runs_and_ranks(word)
         assert isinstance(isa, np.ndarray)  # the arrays engine's ranks
-        assert runs.as_triples() == find_runs_bruteforce(word).as_triples()
+        assert as_triples(runs) == as_triples(find_runs_bruteforce(word))
 
 
 def fibonacci_word(n):
@@ -516,7 +517,7 @@ class TestRunSetInvariants:
     def test_sorted_unique_intervals_and_valid(self, text):
         word = w(text, "ab")
         rs = find_runs(word)
-        triples = rs.as_triples()
+        triples = as_triples(rs)
         assert triples == sorted(triples)
         assert len({(i, j) for i, j, _ in triples}) == len(triples)
         for run in rs:
@@ -565,7 +566,7 @@ class TestStats:
     @staticmethod
     def check_against_exponents(word):
         runs = find_runs(word)
-        cubic = [r for r in runs if r.is_cubic]
+        cubic = [r for r in runs if is_cubic(r)]
         assert run_stats(word, runs) == RunStats(
             n=len(word),
             rho=len(runs),
@@ -624,7 +625,7 @@ class TestStats:
         assert st_.rho_cubic <= st_.rho
         assert st_.sigma_cubic <= st_.sigma
         assert st_.sigma == sum((r.exponent for r in runs), Fraction(0))
-        assert st_.rho_cubic == sum(r.is_cubic for r in runs)
+        assert st_.rho_cubic == sum(map(is_cubic, runs))
 
 
 class TestDecimalRendering:
@@ -669,14 +670,3 @@ class TestDecimalRendering:
     def test_half_up_error_is_at_most_half_ulp(self, frac, digits):
         rendered = Fraction(fraction_to_decimal(frac, digits))
         assert abs(rendered - frac) <= Fraction(1, 2 * 10**digits)
-
-
-class TestListing:
-    def test_format(self):
-        lines = list(run_listing_lines(find_runs(w("aabaabaa"))))
-        assert lines == [
-            "1\t2\t1\t2\t2/1",
-            "1\t8\t3\t8\t8/3",
-            "4\t5\t1\t2\t2/1",
-            "7\t8\t1\t2\t2/1",
-        ]
