@@ -23,7 +23,6 @@ serves as an independent oracle.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -50,9 +49,9 @@ __all__ = [
 # the quadratic worst case is harmless at this size and the per-call
 # numpy overhead dominates otherwise. Both paths run the same algorithm.
 # On random words over 1-4 letters, taken in equal shares, the arrays
-# engine is faster from about 600 letters (binary words from about 450,
-# unary words only from about 1,200).
-SMALL_ENGINE_LIMIT = 600
+# engine is faster from about 800 letters (binary words from about 600,
+# 3 and 4 letters from about 750, unary words not up to 1,300).
+SMALL_ENGINE_LIMIT = 800
 
 # Positions per step of the arrays engine's extension queries.
 _BLOCK = 1 << 16
@@ -261,7 +260,7 @@ def _lce(levels: list[np.ndarray], x: np.ndarray, y: np.ndarray, left: bool = Fa
     return lift(x, y, h, range(split - 1, -1, -1))
 
 
-def _lyndon_lengths(rank) -> array:
+def _lyndon_lengths(rank) -> list[int]:
     """Distance from each position to the next suffix that ranks lower.
 
     Over the inverse suffix array (end of word lowest) this is the
@@ -270,25 +269,21 @@ def _lyndon_lengths(rank) -> array:
     *greater* suffix, which gives order 1: reversed letters with the end
     of the word highest. There the value is the longest Lyndon prefix
     wherever the comparison is settled before the end of the word, which
-    holds at the roots of every run that order is asked for. A stack
-    pass in Python: the Python engine's, and the test oracle of
-    :func:`_next_smaller`, which the arrays engine uses.
+    holds at the roots of every run that order is asked for. One pass
+    over one list, right to left: the search from i starts at i + 1 and
+    jumps from each j that ranks higher to nxt[j]; a position jumped from
+    is never reached again, so the work is O(n). The Python engine's pass,
+    and the test oracle of :func:`_next_smaller`, which the arrays engine uses.
     """
     n = len(rank)
-    lam = array("i", bytes(4 * n))
-    idx_st: list[int] = []
-    rank_st: list[int] = []
-    push_i = idx_st.append
-    push_r = rank_st.append
-    for i in range(n - 1, -1, -1):
+    nxt = [n] * n
+    for i in range(n - 2, -1, -1):
         ri = rank[i]
-        while rank_st and rank_st[-1] > ri:
-            idx_st.pop()
-            rank_st.pop()
-        lam[i] = (idx_st[-1] if idx_st else n) - i
-        push_i(i)
-        push_r(ri)
-    return lam
+        j = i + 1
+        while j < n and rank[j] > ri:
+            j = nxt[j]
+        nxt[i] = j
+    return [j - i for i, j in enumerate(nxt)]
 
 
 def _next_smaller(rank: np.ndarray) -> np.ndarray:

@@ -84,11 +84,6 @@ class Word:
             raise ValueError(f"factor positions [{i}..{j}] out of range for length {len(self.data)}")
         return Word(self.data[i - 1 : j], self.alphabet)
 
-    def __add__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        return Word(self.data + other.data, self.alphabet | other.alphabet)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Word):
             return NotImplemented

@@ -23,6 +23,8 @@ from runexp.families import generate_member
 from runexp.runs import Run, RunSet, find_runs, run_stats
 from runexp.words import word_from_text
 
+from oracles import enumerate_as
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -352,6 +354,22 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "family:3")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    def test_run_breaking_the_definition_fails(self, capsys, monkeypatch):
+        word = word_from_text("aabaabaa", "ab")
+        enumerate_as(monkeypatch, RunSet.from_runs([*find_runs(word), Run(1, 8, 4)]))
+        code, out, err = run_cli(capsys, "verify", "aabaabaa")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "word": "aabaabaa",
+            "n": 8,
+            "invalid_run": "run [1..8] claims period 4 but the factor has period 3",
+            "pass": False,
+        }
+        # A bad input word is still a usage error, with the patch in force.
+        code, out, err = run_cli(capsys, "verify", "family:x")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad family reference")
 
     def test_member_7_passes_above_the_oracle_cap(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "family:7")

@@ -6,11 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from runexp import runs as runs_module
 from runexp.families import run_rich_word
 from runexp.handles import HandleSet, handles_of_run, verify_handle_properties
 from runexp.runs import Run, RunSet, find_runs, validate_run, validate_runs
 from runexp.words import word_from_text
+
+from oracles import enumerate_as
 
 
 def w(text, alphabet="abc"):
@@ -204,12 +205,6 @@ class TestBatchMatchesPerRun:
 
     def test_member_6(self):
         assert assert_batch_matches_per_run(run_rich_word(6)).all_ok
-
-
-def enumerate_as(monkeypatch, runs):
-    """Make the handle suite see ``runs`` as the enumeration of the word it checks."""
-    real = runs_module._runs_and_ranks
-    monkeypatch.setattr(runs_module, "_runs_and_ranks", lambda word: (runs, real(word)[1]))
 
 
 class TestBadRuns:

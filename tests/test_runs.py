@@ -334,8 +334,44 @@ def binary_words(max_length):
             yield bytes(bits)
 
 
+def sorted_suffix_ranks(data):
+    """The rank of each suffix among all suffixes compared as bytes."""
+    isa = [0] * len(data)
+    for r, i in enumerate(sorted(range(len(data)), key=lambda i: data[i:])):
+        isa[i] = r
+    return isa
+
+
+LONG_DESCENTS = [b"a" + b"b" * 5000, b"b" * 5000 + b"a", b"a" * 5000]
+
+
+class TestLyndonLengths:
+    """The Python engine's Lyndon arrays against the definition: the distance to
+    the next suffix smaller as bytes (the end of the word ranks lowest) or, over
+    the reversed ranks, to the next greater one; the end of the word if none."""
+
+    @staticmethod
+    def check(data):
+        n = len(data)
+        isa = np.array(sorted_suffix_ranks(data))
+        for rank, beyond in ((isa, np.less), ((n - 1) - isa, np.greater)):
+            expected = []
+            for i in range(n):
+                later = np.flatnonzero(beyond(isa[i + 1 :], isa[i]))
+                expected.append(int(later[0]) + 1 if later.size else n - i)
+            assert runs_module._lyndon_lengths(rank.tolist()) == expected, data[:40]
+
+    def test_every_binary_word_up_to_10(self):
+        for data in binary_words(10):
+            self.check(data)
+
+    @pytest.mark.parametrize("data", LONG_DESCENTS, ids=["a-b5000", "b5000-a", "a5000"])
+    def test_long_descents(self, data):
+        self.check(data)
+
+
 class TestNextSmaller:
-    """The tree search of the arrays engine against the stack pass, in both orders."""
+    """The tree search of the arrays engine against the pointer-jumping pass, in both orders."""
 
     @staticmethod
     def check(data):
@@ -355,7 +391,7 @@ class TestNextSmaller:
     def test_random_words(self, text):
         self.check(text.encode())
 
-    @pytest.mark.parametrize("data", [b"a" + b"b" * 5000, b"b" * 5000 + b"a", b"a" * 5000])
+    @pytest.mark.parametrize("data", LONG_DESCENTS)
     def test_long_descents(self, data):
         # In a+b^k every b's next greater suffix is the end of the word.
         self.check(data)
@@ -375,6 +411,8 @@ class TestNextSmaller:
         self.check(run_rich_word(index).data)
 
     def test_arrays_engine_takes_no_stack_pass(self, monkeypatch):
+        """The arrays engine never calls the Python engine's pointer-jumping pass."""
+
         def forbidden(rank):
             raise AssertionError("the arrays engine called _lyndon_lengths")
 
@@ -390,17 +428,10 @@ class TestNextSmaller:
 class TestInverseSuffixArray:
     """The ranks each engine hands to the handle suite, against sorted suffixes."""
 
-    @staticmethod
-    def sorted_suffix_ranks(data):
-        isa = [0] * len(data)
-        for r, i in enumerate(sorted(range(len(data)), key=lambda i: data[i:])):
-            isa[i] = r
-        return isa
-
     def check(self, word, engine):
         _, isa = ENGINES[engine](word.data)
         assert isinstance(isa, list) == (engine == "python")
-        assert np.asarray(isa).tolist() == self.sorted_suffix_ranks(word.data), word.text[:40]
+        assert np.asarray(isa).tolist() == sorted_suffix_ranks(word.data), word.text[:40]
 
     @pytest.mark.parametrize("engine", ["python", "arrays"])
     def test_seeded_words(self, engine):
