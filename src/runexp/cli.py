@@ -163,9 +163,9 @@ def _family_member(index: int, spec_path: str | None, copies: int = 1) -> tuple[
 def resolve_word(arg: str, *, family_spec: str | None) -> tuple[Word, str]:
     """Turn an input argument into a word.
 
-    `family:N` picks member N of the built-in family, or of the file
-    given with --family-spec. An existing path is read as a word file.
-    Anything else without a path separator is taken as a literal word.
+    `family:N` picks member N of the built-in family, or of the file given
+    with --family-spec, which other inputs refuse. An existing path is read
+    as a word file; anything else without a path separator is a literal word.
     """
     if arg.startswith("family:"):
         try:
@@ -173,6 +173,8 @@ def resolve_word(arg: str, *, family_spec: str | None) -> tuple[Word, str]:
         except ValueError:
             raise ValueError(f"bad family reference {arg!r}, expected family:<integer>") from None
         return _family_member(index, family_spec)
+    if family_spec is not None:
+        raise UsageError(f"--family-spec applies only to family:<index> inputs, got {arg!r}")
     if os.path.exists(arg):
         admit(os.path.getsize(arg), f"word file {arg}")
         return read_word_file(arg), arg

@@ -103,22 +103,12 @@ class HandleReport:
         }
 
 
-def _occurrences(data: bytes, pattern: bytes, lo: int, hi: int) -> list[int]:
-    """0-based starts of occurrences of pattern lying fully in data[lo:hi]."""
-    out: list[int] = []
-    k = data.find(pattern, lo, hi)
-    while k != -1:
-        out.append(k)
-        k = data.find(pattern, k + 1, hi)
-    return out
-
-
 def handles_of_run(w: Word, v: Run) -> HandleSet:
     """Build H(v) from the rotation extremes of the run's leading block.
 
-    Occurrences are located by plain scanning, then checked to sit
-    exactly p apart: inside the run any rotation of the primitive block
-    can only occur aligned, so an uneven gap means a bug.
+    Occurrences come from comparing the rotation at every start in the run,
+    then are checked to sit exactly p apart: any rotation of the primitive
+    block occurs only aligned inside the run, so an uneven gap means a bug.
     """
     validate_run(w, v)
     i, j, p = v
@@ -128,7 +118,7 @@ def handles_of_run(w: Word, v: Run) -> HandleSet:
         return HandleSet(owner=v, positions=tuple(range(i, j)), case="a")
     slots: set[int] = set()
     for rotation in (ext.minimal.data, ext.maximal.data):
-        starts = _occurrences(data, rotation, i - 1, j)
+        starts = [k for k in range(i - 1, j - p + 1) if data[k : k + p] == rotation]
         for s0, s1 in zip(starts, starts[1:]):
             if s1 - s0 != p:
                 raise RuntimeError(

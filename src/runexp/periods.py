@@ -1,7 +1,8 @@
 """Period and cyclic-rotation primitives.
 
 Pure functions on immutable words; lexicographic order is the byte
-order of the ASCII encoding.
+order of the ASCII encoding. Rotation extremes are taken by definition,
+as a test oracle; periods come from the linear-time prefix function.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ __all__ = [
     "rotation_extremes",
 ]
 
-# translate() table flipping byte order, used to get maximal rotations
-# out of a least-rotation routine
-_FLIP = bytes(255 - b for b in range(256))
-
 
 def _prefix_function(data: bytes) -> list[int]:
     # entry k = longest proper border of data[:k+1]
@@ -35,43 +32,6 @@ def _prefix_function(data: bytes) -> list[int]:
             k += 1
         table[q] = k
     return table
-
-
-def _least_rotation(data: bytes) -> int:
-    """Offset of the lexicographically least rotation (Booth's algorithm)."""
-    n = len(data)
-    doubled = data + data
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        c = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != doubled[k + i + 1]:
-            if c < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != doubled[k + i + 1]:
-            if c < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
-
-
-def _extreme_offsets(data: bytes) -> tuple[int, int]:
-    """0-based offsets of the minimal and maximal rotations of ``data``.
-
-    Ties (possible only for non-primitive inputs, whose rotations repeat
-    with the length of the primitive root) resolve to the smallest offset.
-    """
-    lo = _least_rotation(data)
-    hi = _least_rotation(data.translate(_FLIP))
-    p = len(data) - _prefix_function(data)[-1]
-    if len(data) % p == 0:
-        lo %= p
-        hi %= p
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -103,14 +63,22 @@ def shortest_period(w: Word) -> int:
 
 
 def rotation_extremes(w: Word) -> RotationExtremes:
-    """Minimal and maximal rotations of ``w``, computed in linear time."""
+    """Minimal and maximal rotations of ``w``, found by comparing every rotation.
+
+    Quadratic in ``len(w)``: a test oracle with no library or CLI caller.
+    Ties (only in non-primitive words) resolve to the smallest offset.
+    """
     if len(w) == 0:
         raise ValueError("the empty word has no rotations")
-    lo, hi = _extreme_offsets(w.data)
-    data = w.data
+
+    def rotation(k: int) -> bytes:
+        return w.data[k:] + w.data[:k]
+
+    lo = min(range(len(w)), key=rotation)
+    hi = max(range(len(w)), key=rotation)
     return RotationExtremes(
-        minimal=Word(data[lo:] + data[:lo], w.alphabet),
-        maximal=Word(data[hi:] + data[:hi], w.alphabet),
+        minimal=Word(rotation(lo), w.alphabet),
+        maximal=Word(rotation(hi), w.alphabet),
         min_offset=lo,
         max_offset=hi,
     )

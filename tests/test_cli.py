@@ -170,6 +170,19 @@ class TestAnalyze:
         assert "fib:20 has 17,711 letters" in err
         assert projected(17_711) in err
 
+    @pytest.mark.parametrize("verb", ["analyze", "runs", "verify"])
+    @pytest.mark.parametrize("kind", ["literal", "word file"])
+    def test_family_spec_refused_without_family_input(self, capsys, tmp_path, verb, kind):
+        spec = tmp_path / "fib.fam"
+        spec.write_text("name = fib\nseed = a\n[inner]\na -> ab\nb -> a\n")
+        arg = "aab"
+        if kind == "word file":
+            arg = str(tmp_path / "w.txt")
+            Path(arg).write_text("aab\n")
+        code, out, err = run_cli(capsys, verb, arg, "--family-spec", str(spec))
+        assert (code, out) == (2, "")
+        assert err == f"error: --family-spec applies only to family:<index> inputs, got {arg!r}\n"
+
     def test_word_file_refused_before_it_is_read(self, capsys, monkeypatch, tmp_path, memory_mb):
         path = tmp_path / "w.txt"
         path.write_text("ab" * 5000 + "\n")
@@ -599,10 +612,17 @@ def readme_examples():
 
 
 class TestReadmeExamples:
-    """README's unabridged console examples, byte for byte."""
+    """README's unabridged console examples, byte for byte, and its library example."""
 
     @pytest.mark.parametrize("argv", ["generate 1", "runs aabaabaa", "analyze family:2", "table3 --max-i 4"])
     def test_console_block(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv.split())
         assert code == 0
         assert out == readme_examples()[argv]
+
+    def test_library_block(self, capsys):
+        """Each line the Python block prints is the comment on its print line."""
+        (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+        exec(block, {})
+        expected = [line.partition("#")[2].strip() for line in block.splitlines() if line.startswith("print(")]
+        assert capsys.readouterr().out.splitlines() == expected

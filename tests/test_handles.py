@@ -3,11 +3,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from runexp import handles, runs as runs_module
 from runexp.families import run_rich_word
 from runexp.handles import HandleSet, handles_of_run, verify_handle_properties
+from runexp.periods import rotation_extremes
 from runexp.runs import Run, RunSet, find_runs, validate_run, validate_runs
 from runexp.words import word_from_text
 
@@ -66,9 +69,17 @@ def per_run_report(word, runs):
 
 
 def assert_batch_matches_per_run(word):
+    """The batch suite agrees with handles_of_run on every verdict, and the
+    Lyndon roots it starts from are the rotation extremes of each period block."""
     rep = verify_handle_properties(word)
     expected = per_run_report(word, rep.runs)
     assert {key: getattr(rep, key) for key in expected} == expected, word.text[:60]
+    runs, isa = runs_module._runs_and_ranks(word)
+    a = runs.starts - 1
+    lo, hi = handles._lyndon_roots(np.asarray(isa, dtype=np.int32), a, runs.periods)
+    for v, x, y in zip(runs, (lo - a).tolist(), (hi - a).tolist()):
+        ext = rotation_extremes(word.factor(v.i, v.i + v.p - 1))
+        assert (x, y) == (ext.min_offset, ext.max_offset), (word.text[:60], v)
     return rep
 
 
