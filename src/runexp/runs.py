@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -474,22 +473,13 @@ def find_runs_bruteforce(w: Word) -> RunSet:
     return RunSet.from_runs((b + 1, e + 1, p) for b, e, p in found)
 
 
-def _has_period(data: bytes, a: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Whether data[a:e] has period q, row by row, one bytes comparison each.
-
-    The columns are read one int at a time through memoryviews: as lists
-    (``tolist``) they would be the largest allocation of the handle suite.
-    """
-    rows = zip(memoryview(a), memoryview(e), memoryview(q))
-    return np.array([data[x : y - d] == data[x + d : y] for x, y, d in rows], dtype=bool)
-
-
 def validate_runs(w: Word, runs: RunSet) -> None:
     """Re-check the four run invariants of every run against ``w``; raise on failure.
 
-    As 2p <= length, any shorter period divides p (Fine-Wilf), so p is
-    shortest iff no p/r, r a prime factor of p, is a period of the first
-    p letters. The first run found breaking an invariant is named.
+    As 2p <= length, p is shortest iff the first length - p letters first
+    recur at offset p: with period p, a match at s < p gives a prefix of
+    s + p letters or more with periods s and p, so period gcd(s, p) | p
+    (Fine-Wilf). The first run found breaking an invariant is named.
     """
     data, n = w.data, len(w)
     codes = np.frombuffer(data, dtype=np.uint8)
@@ -503,16 +493,11 @@ def validate_runs(w: Word, runs: RunSet) -> None:
     require((a >= 0) & (a < e) & (e <= n),
             lambda i, j, p: f"run interval [{i}..{j}] out of range for n={n}")
     require(2 * p <= e - a, lambda i, j, p: f"run [{i}..{j}] with p={p} violates 2p <= length")
-    shortest = (p >= 1) & _has_period(data, a, e, np.maximum(p, 1))
-    spf = np.arange(int(p.max(initial=1)) + 1)  # smallest prime factors: least divisor writes last
-    for k in range(isqrt(spf.size - 1), 1, -1):
-        spf[k * k :: k] = k
-    rem, last = np.where(shortest, p, 1), 1
-    while (rem > 1).any():
-        r = spf[rem]  # prime factors come in non-decreasing order; spf[1] == 1
-        rows = np.flatnonzero(r > last)
-        shortest[rows] &= ~_has_period(data, a[rows], a[rows] + p[rows], p[rows] // r[rows])
-        rem, last = rem // r, r
+    # The columns are read one int at a time through memoryviews: as lists
+    # (``tolist``) they would be the largest allocation of the handle suite.
+    rows = zip(memoryview(a), memoryview(e), memoryview(p))
+    shortest = np.array([d >= 1 and data.find(data[x : y - d], x + 1, y) == x + d for x, y, d in rows],
+                        dtype=bool)
     require(shortest, lambda i, j, p: f"run [{i}..{j}] claims period {p} but the factor "
             f"has period {_periods.shortest_period(w.factor(i, j))}")
     require((a == 0) | (codes[a - 1] != codes[a + p - 1]),

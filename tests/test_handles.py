@@ -1,4 +1,4 @@
-"""Handle construction against an independent oracle, plus the property suite."""
+"""Handle construction against the batch suite's slots, plus the property suite."""
 
 import itertools
 import random
@@ -21,25 +21,19 @@ def w(text, alphabet="abc"):
     return word_from_text(text, alphabet)
 
 
-def oracle_handle_positions(text: str, run: Run) -> tuple[int, ...]:
-    """Recompute H(v) from scratch: rotations by sorting, occurrences by scan."""
-    i, j, p = run
-    block = text[i - 1 : i - 1 + p]
-    rotations = sorted(block[k:] + block[:k] for k in range(p))
-    lo, hi = rotations[0], rotations[-1]
-    if lo == hi:
-        return tuple(range(i, j))
-    positions = set()
-    for pattern in (lo, hi):
-        starts = [
-            s
-            for s in range(i, j - p + 2)  # 1-based starts with s + p - 1 <= j
-            if text[s - 1 : s - 1 + p] == pattern
-        ]
-        for a, b in zip(starts, starts[1:]):
-            assert b - a == p
-            positions.add(a + p - 1)
-    return tuple(sorted(positions))
+def lyndon_roots(word):
+    """The runs of ``word`` and the 0-based Lyndon roots lo, hi the batch suite starts from."""
+    runs, isa = runs_module._runs_and_ranks(word)
+    lo, hi = handles._lyndon_roots(np.asarray(isa, dtype=np.int32), runs.starts - 1, runs.periods)
+    return runs, lo.tolist(), hi.tolist()
+
+
+def assert_slots_match_batch(word):
+    """handles_of_run gives each run the slots the batch suite assigns it:
+    x + m*p for m >= 1 with x + m*p + p <= j, x in {lo, hi}."""
+    for v, x, y in zip(*lyndon_roots(word)):
+        slots = {r + m * v.p for r in (x, y) for m in range(1, (v.j - r) // v.p)}
+        assert handles_of_run(word, v).positions == tuple(sorted(slots)), (word.text[:60], v)
 
 
 def per_run_report(word, runs):
@@ -74,12 +68,9 @@ def assert_batch_matches_per_run(word):
     rep = verify_handle_properties(word)
     expected = per_run_report(word, rep.runs)
     assert {key: getattr(rep, key) for key in expected} == expected, word.text[:60]
-    runs, isa = runs_module._runs_and_ranks(word)
-    a = runs.starts - 1
-    lo, hi = handles._lyndon_roots(np.asarray(isa, dtype=np.int32), a, runs.periods)
-    for v, x, y in zip(runs, (lo - a).tolist(), (hi - a).tolist()):
+    for v, x, y in zip(*lyndon_roots(word)):
         ext = rotation_extremes(word.factor(v.i, v.i + v.p - 1))
-        assert (x, y) == (ext.min_offset, ext.max_offset), (word.text[:60], v)
+        assert (x - v.i + 1, y - v.i + 1) == (ext.min_offset, ext.max_offset), (word.text[:60], v)
     return rep
 
 
@@ -117,21 +108,18 @@ class TestExamples:
 
 
 class TestAgainstOracle:
+    """handles_of_run, which compares rotations letter by letter, against the
+    slots the batch suite derives from its Lyndon roots."""
+
     def test_exhaustive_binary_up_to_11(self):
         for length in range(2, 12):
             for bits in itertools.product("ab", repeat=length - 1):
-                text = "a" + "".join(bits)
-                word = w(text, "ab")
-                for run in find_runs(word):
-                    got = handles_of_run(word, run)
-                    assert got.positions == oracle_handle_positions(text, run), (text, run)
+                assert_slots_match_batch(w("a" + "".join(bits), "ab"))
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet="abc", min_size=2, max_size=150))
     def test_random_ternary(self, text):
-        word = w(text)
-        for run in find_runs(word):
-            assert handles_of_run(word, run).positions == oracle_handle_positions(text, run)
+        assert_slots_match_batch(w(text))
 
 
 class TestPropertySuite:
@@ -223,6 +211,7 @@ class TestBadRuns:
         ("aabaabaa", Run(1, 8, 4), "claims period 4"),
         ("aaabaa", Run(2, 3, 1), "not left-maximal"),
         ("abababab", Run(1, 8, 4), "period 2"),
+        ("a" * 12, Run(1, 12, 6), "period 1"),
     ]
 
     @pytest.mark.parametrize("text, run, message", BAD)

@@ -554,6 +554,23 @@ class TestRunSetInvariants:
         for run in rs:
             validate_run(word, run)
 
+    def test_validate_accepts_exactly_the_definition(self):
+        # Every (i, j, p) with 2p <= length on binary words of up to 8 letters
+        # and ternary words of up to 6: 38,970 triples.
+        for alphabet, longest in (("ab", 8), ("abc", 6)):
+            for length in range(1, longest + 1):
+                for letters in itertools.product(alphabet, repeat=length):
+                    word = w("".join(letters), alphabet)
+                    runs = set(find_runs_bruteforce(word))
+                    for i, j in itertools.combinations_with_replacement(range(1, length + 1), 2):
+                        for p in range(1, (j - i + 1) // 2 + 1):
+                            try:
+                                validate_run(word, Run(i, j, p))
+                            except ValueError:
+                                assert (i, j, p) not in runs, (word.text, i, j, p)
+                            else:
+                                assert (i, j, p) in runs, (word.text, i, j, p)
+
     def test_validate_rejects_wrong_period(self):
         word = w("aabaabaa")
         with pytest.raises(ValueError, match="period 3"):
