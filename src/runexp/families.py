@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 
-from .words import Morphism, Word, apply_morphism, parse_rule_line, word_from_text
+from .words import Morphism, Word, parse_rule_line, word_from_text
 
 __all__ = [
     "FamilySpec",
@@ -140,14 +140,14 @@ def generate_member(spec: FamilySpec, i: int) -> Word:
     it. A length other than the prediction aborts (mistyped rules).
     """
     predicted = predicted_length(spec, i)
-    table = {ord(a): image.encode("ascii") for a, image in spec.inner.rules.items()}
+    table = spec.inner.images
     expanded = spec.seed.data
     for k, bit in enumerate(reversed(bin(i)[2:])):
         if k:
             table = _squared(table, predicted)
         if bit == "1":
             expanded = b"".join(map(table.__getitem__, expanded))
-    member = apply_morphism(spec.outer, Word(expanded, spec.inner.source_alphabet))
+    member = Word(b"".join(map(spec.outer.images.__getitem__, expanded)), spec.outer.target_alphabet)
     if len(member) != predicted:
         raise RuntimeError(
             f"internal error: family {spec.name!r} member {i} has length "
@@ -169,8 +169,7 @@ def load_family(path) -> FamilySpec:
         text = fh.read()
     rules: dict[str, dict[str, str]] = {"inner": {}, "outer": {}}
     current: str | None = None
-    seed_text: str | None = None
-    name: str | None = None
+    values: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -183,20 +182,14 @@ def load_family(path) -> FamilySpec:
             continue
         if "=" in line and "->" not in line:
             key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "seed":
-                if seed_text is not None:
-                    raise ValueError(f"{label}:{lineno}: duplicate seed line")
-                if not value:
-                    raise ValueError(f"{label}:{lineno}: empty seed")
-                seed_text, seed_line = value, lineno
-            elif key == "name":
-                if name is not None:
-                    raise ValueError(f"{label}:{lineno}: duplicate name line")
-                name = value
-            else:
+            key, value = key.strip(), value.strip()
+            if key not in ("seed", "name"):
                 raise ValueError(f"{label}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{label}:{lineno}: duplicate {key} line")
+            if key == "seed" and not value:
+                raise ValueError(f"{label}:{lineno}: empty seed")
+            values[key] = value, lineno
             continue
         if current is None:
             raise ValueError(f"{label}:{lineno}: rule line outside any section")
@@ -209,8 +202,9 @@ def load_family(path) -> FamilySpec:
         rules[current][sym] = image
     if not rules["inner"]:
         raise ValueError(f"{label}: missing [inner] section")
-    if seed_text is None:
+    if "seed" not in values:
         raise ValueError(f"{label}: missing seed line")
+    seed_text, seed_line = values["seed"]
     inner = Morphism(rules["inner"])
     outer = Morphism(rules["outer"]) if rules["outer"] else Morphism(
         {s: s for s in sorted(inner.source_alphabet)}
@@ -219,6 +213,7 @@ def load_family(path) -> FamilySpec:
         seed = word_from_text(seed_text, inner.source_alphabet)
     except ValueError as exc:
         raise ValueError(f"{label}:{seed_line}: {exc}") from None
+    name, _ = values.get("name", ("", 0))
     base = os.path.splitext(os.path.basename(label))[0]
     try:
         return FamilySpec(name=name or base, inner=inner, outer=outer, seed=seed)

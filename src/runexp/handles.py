@@ -157,13 +157,11 @@ def verify_handle_properties(w: Word) -> HandleReport:
     # Root x gets the slots x + m*p, m >= 1, with x + m*p + p <= e; case (a) has one root.
     counts = np.concatenate([(e - lo) // p - 1, np.where(case_a, 0, (e - hi) // p - 1)])
     sizes = counts[: p.size] + counts[p.size :]
-    # More than n - 1 slots cannot be distinct; below that, count each slot's owners.
-    disjoint = int(counts.sum()) <= max(n - 1, 0)
-    if disjoint:
-        owner = np.repeat(np.arange(counts.size), counts)
-        m = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner] + 1
-        slots = np.concatenate([lo, hi])[owner] + m * p[owner % p.size]
-        disjoint = bool((np.bincount(slots) <= 1).all())
+    # Count each slot's owners: every slot lies in 1..n-1, so more than n - 1 slots collide.
+    owner = np.repeat(np.arange(counts.size), counts)
+    m = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner] + 1
+    slots = np.concatenate([lo, hi])[owner] + m * p[owner % p.size]
+    disjoint = bool((np.bincount(slots) <= 1).all())
     length = e - a
     bounds_ok = np.where(unary, length == sizes + 1,
                          (2 * -(-length // p) <= sizes + 6) & (sizes >= 2 * (length // p - 2)))

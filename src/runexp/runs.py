@@ -123,6 +123,10 @@ class RunSet:
             and bool(np.array_equal(self.periods, other.periods))
         )
 
+    def __reduce__(self):
+        # Copies and unpickled values come through __init__, so their columns stay read-only.
+        return (RunSet, (self.starts, self.ends, self.periods))
+
     def __repr__(self) -> str:
         return f"RunSet({len(self)} runs)"
 

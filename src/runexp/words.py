@@ -1,11 +1,13 @@
 """Words over explicit alphabets, morphisms, and their file formats.
 
-Words and morphisms are immutable values: they can be shared freely
-between threads or processes. Positions in diagnostics are 1-based.
+Words and morphisms are frozen dataclasses: immutable values that pickle
+and deep-copy, so they can be shared freely between threads or sent to
+worker processes. Positions in diagnostics are 1-based.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -40,22 +42,20 @@ def _as_alphabet(symbols: Iterable[str]) -> frozenset[str]:
     return alpha
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Word:
     """An immutable word over an explicit alphabet.
 
-    The letter sequence is stored as ASCII bytes. Equality and hashing
-    consider both the letters and the alphabet.
+    The letter sequence is stored as ASCII bytes (``data`` may be given as
+    a str). Equality and hashing consider both the letters and the alphabet.
     """
-
-    __slots__ = ("data", "alphabet")
 
     data: bytes
     alphabet: frozenset[str]
 
-    def __init__(self, data: bytes | str, alphabet: Iterable[str]):
-        alpha = _as_alphabet(alphabet)
-        if isinstance(data, str):
-            data = data.encode("ascii")
+    def __post_init__(self):
+        alpha = _as_alphabet(self.alphabet)
+        data = self.data.encode("ascii") if isinstance(self.data, str) else self.data
         allowed = "".join(alpha).encode("ascii")
         if data.translate(None, allowed):
             # Locate the first offender only on the failure path.
@@ -67,9 +67,6 @@ class Word:
                     )
         object.__setattr__(self, "data", bytes(data))
         object.__setattr__(self, "alphabet", alpha)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     def __len__(self) -> int:
         return len(self.data)
@@ -83,14 +80,6 @@ class Word:
         if not (1 <= i and j <= len(self.data) and i <= j + 1):
             raise ValueError(f"factor positions [{i}..{j}] out of range for length {len(self.data)}")
         return Word(self.data[i - 1 : j], self.alphabet)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.data == other.data and self.alphabet == other.alphabet
-
-    def __hash__(self) -> int:
-        return hash((self.data, self.alphabet))
 
     def __repr__(self) -> str:
         shown = self.text if len(self.data) <= 40 else self.text[:37] + "..."
@@ -109,33 +98,29 @@ def _check_rule(sym: str, image: str) -> None:
             raise ValueError(f"rule for {sym!r} contains {ch!r}, outside the letters 0x21..0x7E")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Morphism:
     """A letter-to-word substitution map, extended to words by concatenation.
 
     Every source symbol has exactly one rule and every image is nonempty.
+    ``images`` maps each source letter's byte to its image as bytes.
     """
 
-    __slots__ = ("rules", "source_alphabet", "target_alphabet", "_table")
+    rules: Mapping[str, str]
+    source_alphabet: frozenset[str] = field(init=False)
+    target_alphabet: frozenset[str] = field(init=False)
+    images: dict[int, bytes] = field(init=False)
 
-    def __init__(self, rules: Mapping[str, str]):
-        if not rules:
+    def __post_init__(self):
+        if not self.rules:
             raise ValueError("a morphism needs at least one rule")
-        clean: dict[str, str] = {}
-        target: set[str] = set()
+        rules = dict(self.rules)
         for sym, image in rules.items():
             _check_rule(sym, image)
-            clean[sym] = image
-            target.update(image)
-        table: list[bytes | None] = [None] * 256
-        for sym, image in clean.items():
-            table[ord(sym)] = image.encode("ascii")
-        object.__setattr__(self, "rules", dict(clean))
-        object.__setattr__(self, "source_alphabet", frozenset(clean))
-        object.__setattr__(self, "target_alphabet", frozenset(target))
-        object.__setattr__(self, "_table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Morphism is immutable")
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "source_alphabet", frozenset(rules))
+        object.__setattr__(self, "target_alphabet", frozenset("".join(rules.values())))
+        object.__setattr__(self, "images", {ord(a): image.encode("ascii") for a, image in rules.items()})
 
     def image_of(self, sym: str) -> str:
         try:
@@ -146,11 +131,6 @@ class Morphism:
     def is_endomorphism(self) -> bool:
         """True when every image stays inside the source alphabet."""
         return self.target_alphabet <= self.source_alphabet
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Morphism):
-            return NotImplemented
-        return self.rules == other.rules
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.rules.items())))
@@ -171,13 +151,10 @@ def word_from_text(text: str, alphabet: Iterable[str]) -> Word:
 
 def apply_morphism(m: Morphism, w: Word) -> Word:
     """Apply ``m`` letterwise and concatenate the images."""
-    missing = w.data.translate(None, "".join(m.source_alphabet).encode("ascii"))
+    missing = w.data.translate(None, bytes(m.images))
     if missing:
-        sym = chr(min(missing))
-        raise ValueError(f"no rule for letter {sym!r}")
-    table = m._table
-    data = b"".join(map(table.__getitem__, w.data))
-    return Word(data, m.target_alphabet)
+        raise ValueError(f"no rule for letter {chr(min(missing))!r}")
+    return Word(b"".join(map(m.images.__getitem__, w.data)), m.target_alphabet)
 
 
 def power(w: Word, k: int) -> Word:

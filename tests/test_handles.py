@@ -227,12 +227,15 @@ class TestBadRuns:
             validate_run(word, run)
 
     def test_run_listed_twice_is_not_disjoint(self, monkeypatch):
-        word = w("aabaabaa")
-        runs = RunSet.from_runs(list(find_runs(word)) + [Run(1, 8, 3)])
-        enumerate_as(monkeypatch, runs)
-        rep = verify_handle_properties(word)
-        assert rep.disjoint is False
-        assert not rep.all_ok
+        # aaaa with its run listed three times has handle mass 9, more than its n - 1 = 3 slots.
+        for text, extra in (("aabaabaa", [Run(1, 8, 3)]), ("aaaa", [Run(1, 4, 1)] * 2)):
+            word = w(text)
+            runs = RunSet.from_runs(list(find_runs(word)) + extra)
+            with monkeypatch.context() as patch:
+                enumerate_as(patch, runs)
+                rep = verify_handle_properties(word)
+            assert rep.disjoint is False
+            assert not rep.all_ok
 
 
 class TestAtScale:
