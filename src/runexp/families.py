@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cache
+from typing import Mapping
 
 from .words import Morphism, Word, parse_rule_line, word_from_text
 
@@ -118,7 +119,7 @@ def predicted_length(spec: FamilySpec, i: int) -> int:
     return sum(c * len(spec.outer.image_of(a)) for a, c in zip(letters, counts[0]))
 
 
-def _squared(table: dict[int, bytes | None], limit: int) -> dict[int, bytes | None]:
+def _squared(table: Mapping[int, bytes | None], limit: int) -> dict[int, bytes | None]:
     """The images of the squared morphism; None for those longer than ``limit``."""
     sizes = {a: limit + 1 if image is None else len(image) for a, image in table.items()}
     return {

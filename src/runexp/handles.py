@@ -21,7 +21,7 @@ for x in {lo, hi}, while inside the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,12 +61,14 @@ class HandleReport:
     per-run size bounds are: p = 1 forces exponent = size + 1 exactly;
     p >= 2 forces ceil(exponent) <= size/2 + 3 and
     size >= 2*(floor(exponent) - 2). ``size_bound_failures`` holds the
-    runs that break them.
+    runs that break them. ``handle_sizes`` is a read-only int64 array,
+    one size per run; reports compare without it, as an array does not
+    compare as a bool.
     """
 
     n: int
     runs: RunSet
-    handle_sizes: tuple[int, ...]
+    handle_sizes: np.ndarray = field(compare=False)
     A: int
     B: int
     disjoint: bool
@@ -157,18 +159,20 @@ def verify_handle_properties(w: Word) -> HandleReport:
     # Root x gets the slots x + m*p, m >= 1, with x + m*p + p <= e; case (a) has one root.
     counts = np.concatenate([(e - lo) // p - 1, np.where(case_a, 0, (e - hi) // p - 1)])
     sizes = counts[: p.size] + counts[p.size :]
+    sizes.flags.writeable = False
     # Count each slot's owners: every slot lies in 1..n-1, so more than n - 1 slots collide.
     owner = np.repeat(np.arange(counts.size), counts)
     m = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner] + 1
     slots = np.concatenate([lo, hi])[owner] + m * p[owner % p.size]
     disjoint = bool((np.bincount(slots) <= 1).all())
+    del owner, m, slots  # about 3 x 8 bytes per handle slot, freed before the size bounds
     length = e - a
     bounds_ok = np.where(unary, length == sizes + 1,
                          (2 * -(-length // p) <= sizes + 6) & (sizes >= 2 * (length // p - 2)))
     return HandleReport(
         n=n,
         runs=runs,
-        handle_sizes=tuple(sizes.tolist()),
+        handle_sizes=sizes,
         A=int(sizes[unary].sum()),
         B=int(sizes[~unary].sum()),
         disjoint=disjoint,

@@ -54,6 +54,7 @@ SMALL_ENGINE_LIMIT = 800
 
 # Positions per step of the arrays engine's extension queries.
 _BLOCK = 1 << 16
+_KEY_BITS = 63  # bits of a non-negative int64, for a sort digit packed above a position
 
 BRUTE_FORCE_CAP = 2000
 
@@ -157,34 +158,31 @@ def _prefix_doubling(data: bytes) -> Iterator[np.ndarray]:
     The rounds stop once all ranks differ: the last array is the inverse
     suffix array.
 
-    Each round gives dense ranks to the pairs (rank, r), r the rank k places
-    on (-1 past the end). While the keys rank * (top + 2) + r + 1 fit in a
-    table of 2n entries, the ranks are a prefix sum over the keys present.
-    Later rounds radix-sort: ``order`` (int32), the positions by rank from
-    the last sorted round, lists them by r as the k positions from n - k on,
-    then ``order[order >= k] - k``; one ``np.sort`` of rank << bits | index
-    along that list orders the pairs, its high bits the first ranks. The
-    ranks only grow, so no table round follows a sorted one.
+    Each round ranks the pairs (rank, r), r the rank k places on (-1 past
+    the end), by their keys rank * (top + 2) + r + 1 < (top + 2)^2: while
+    these fit a table of 2n entries, as a prefix sum over the keys present;
+    later by counting the changes between neighbours once the positions are
+    sorted by key. That sort is an LSD radix, one stable packed sort per digit
+    of ``_KEY_BITS`` - n.bit_length() bits; below 2^21 letters a key is one
+    digit, sorted in place. No order is kept between rounds.
     A level is int16 while its ranks fit (the extension queries only
     compare them); the last level, the inverse suffix array, is int32.
     """
     n = len(data)
-    bits = n.bit_length()  # rank << bits | index fits in int64 for any n < 2^31
+    bits = n.bit_length()
     present = letters_of(data)
     top = len(present) - 1
     rank = np.full(n + 1, -1, dtype=np.int16)
     # Each letter's rank through a 256-byte table: no 8-byte index per letter.
     rank[:n] = np.frombuffer(data.translate(bytes.maketrans(present, bytes(range(top + 1)))), np.uint8)
-    order = None  # positions by rank, kept from the first sorted round on
     k = 1
     while True:
         yield rank
         span = top + 2
+        key = rank[:n].astype(np.int64)
+        key *= span
+        key[: n - k] += rank[k:n] + 1
         if span * span <= 2 * n:
-            key = rank[:n].astype(np.int64)
-            key *= span
-            key[: n - k] += rank[k:n]
-            key[: n - k] += 1
             seen = np.zeros(span * span, dtype=np.int32)
             seen[key] = 1
             np.cumsum(seen, out=seen)
@@ -193,22 +191,24 @@ def _prefix_doubling(data: bytes) -> Iterator[np.ndarray]:
             dense -= 1
             del seen, key
         else:
-            if order is None:
-                order = _packed_sort(rank[:n].astype(np.int64), bits)
-            order = np.concatenate((np.arange(n - k, n, dtype=np.int32), order[order >= k] - k))
-            first = rank[order].astype(np.int64)
-            order = order[_packed_sort(first, bits)]
+            width = _KEY_BITS - bits
+            rest = range(width, (span * span - 1).bit_length(), width)  # shifts of the digits above the first
+            order = _packed_sort(key & ((1 << width) - 1) if rest else key, bits)
+            for shift in rest:  # each digit in place, freed before the next gather
+                digit = key[order]
+                digit >>= shift
+                digit &= (1 << width) - 1
+                idx = _packed_sort(digit, bits)
+                del digit
+                order = order[idx]
+            key = key[order] if rest else key  # the single-digit sort sorted the keys in place
             bump = np.zeros(n, dtype=np.int32)
-            np.not_equal(first[1:], first[:-1], out=bump[1:])
-            del first
-            second = rank[np.minimum(order, n - k) + k]  # -1 past the end
-            bump[1:] |= second[1:] != second[:-1]
-            del second
+            np.not_equal(key[1:], key[:-1], out=bump[1:])
             np.cumsum(bump, out=bump)
             top = int(bump[-1])
             dense = np.empty(n, dtype=np.int32)
             dense[order] = bump
-            del bump
+            del key, bump, order
         done = top == n - 1
         rank = np.full(n + 1, -1, dtype=np.int32 if done or top >= 0x7FFF else np.int16)
         rank[:n] = dense

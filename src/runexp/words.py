@@ -8,6 +8,7 @@ worker processes. Positions in diagnostics are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -103,13 +104,14 @@ class Morphism:
     """A letter-to-word substitution map, extended to words by concatenation.
 
     Every source symbol has exactly one rule and every image is nonempty.
-    ``images`` maps each source letter's byte to its image as bytes.
+    ``images`` maps each source letter's byte to its image as bytes. Both
+    tables are read-only views.
     """
 
     rules: Mapping[str, str]
     source_alphabet: frozenset[str] = field(init=False)
     target_alphabet: frozenset[str] = field(init=False)
-    images: dict[int, bytes] = field(init=False)
+    images: Mapping[int, bytes] = field(init=False)
 
     def __post_init__(self):
         if not self.rules:
@@ -117,10 +119,15 @@ class Morphism:
         rules = dict(self.rules)
         for sym, image in rules.items():
             _check_rule(sym, image)
-        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "rules", MappingProxyType(rules))
         object.__setattr__(self, "source_alphabet", frozenset(rules))
         object.__setattr__(self, "target_alphabet", frozenset("".join(rules.values())))
-        object.__setattr__(self, "images", {ord(a): image.encode("ascii") for a, image in rules.items()})
+        images = {ord(a): image.encode("ascii") for a, image in rules.items()}
+        object.__setattr__(self, "images", MappingProxyType(images))
+
+    def __reduce__(self):
+        # Read-only views do not pickle: copies are rebuilt from the rules.
+        return (Morphism, (dict(self.rules),))
 
     def image_of(self, sym: str) -> str:
         try:

@@ -42,7 +42,7 @@ def per_run_report(word, runs):
     seen = set()
     for h in handles:
         seen.update(h.positions)
-    sizes = tuple(h.size for h in handles)
+    sizes = [h.size for h in handles]
     return {
         "handle_sizes": sizes,
         "A": sum(h.size for h in handles if h.owner.p == 1),
@@ -67,7 +67,8 @@ def assert_batch_matches_per_run(word):
     Lyndon roots it starts from are the rotation extremes of each period block."""
     rep = verify_handle_properties(word)
     expected = per_run_report(word, rep.runs)
-    assert {key: getattr(rep, key) for key in expected} == expected, word.text[:60]
+    got = {key: getattr(rep, key) for key in expected} | {"handle_sizes": rep.handle_sizes.tolist()}
+    assert got == expected, word.text[:60]
     for v, x, y in zip(*lyndon_roots(word)):
         ext = rotation_extremes(word.factor(v.i, v.i + v.p - 1))
         assert (x - v.i + 1, y - v.i + 1) == (ext.min_offset, ext.max_offset), (word.text[:60], v)
@@ -133,7 +134,8 @@ class TestPropertySuite:
         assert (rep.n, rep.rho, rep.A, rep.B) == (8, 4, 3, 2)
         assert rep.disjoint and rep.case_a_iff_p1 and rep.sum_bound_ok
         assert rep.size_bound_failures == ()
-        assert rep.handle_sizes == (1, 2, 1, 1)
+        assert rep.handle_sizes.tolist() == [1, 2, 1, 1]
+        assert rep.handle_sizes.dtype == np.int64 and not rep.handle_sizes.flags.writeable
         assert rep.all_ok
 
     def test_json_export_shape(self):

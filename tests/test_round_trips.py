@@ -1,5 +1,5 @@
 """Words, morphisms, family specs and run sets survive pickle and deepcopy,
-so they can be sent to worker processes."""
+so they can be sent to worker processes, and stay read-only."""
 
 import copy
 import multiprocessing
@@ -18,6 +18,12 @@ ROUND_TRIPS = {"pickle": lambda value: pickle.loads(pickle.dumps(value)), "deepc
 def member_stats(spec, i):
     word = generate_member(spec, i)
     return run_stats(word, find_runs(word))
+
+
+def morphisms_in(value):
+    if isinstance(value, Morphism):
+        return [value]
+    return [value.inner, value.outer] if isinstance(value, FamilySpec) else []
 
 
 def example_values(tmp_path):
@@ -46,6 +52,11 @@ def test_value_round_trip(tmp_path, kind, trip):
     assert repr(copied) == repr(value)
     if isinstance(value, FamilySpec):
         assert generate_member(copied, 6) == generate_member(value, 6)
+    # Writing to a table would change what a morphism does, or its hash, while it compares equal.
+    for m in morphisms_in(value) + morphisms_in(copied):
+        for table, key, image in ((m.rules, "a", "b"), (m.images, ord("a"), b"b")):
+            with pytest.raises(TypeError):
+                table[key] = image
 
 
 @pytest.mark.parametrize("trip", ROUND_TRIPS)

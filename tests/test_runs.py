@@ -242,17 +242,51 @@ def sorted_levels(codes):
         k <<= 1
 
 
+# The int64 key budget of the doubling rounds as shipped, and cut to one bit per sort digit.
+BUDGETS = ["int64", "one-bit digits"]
+
+
+def doubling_levels(data, budget):
+    """The levels of ``_prefix_doubling(data)`` under a key budget. Each sorted round
+    must take one packed sort per digit of its key bound (top + 2)^2 - 1, each digit
+    within the budget: one digit below 2^21 letters as shipped, and at least two
+    with one-bit digits."""
+    bits = len(data).bit_length()
+    key_bits = 63 if budget == "int64" else bits + 1
+    sorts = []
+    packed_sort = runs_module._packed_sort
+
+    def counted_sort(packed, bits):
+        # Every digit fits the budget left above the position bits.
+        assert packed.size == 0 or 0 <= packed.min() <= packed.max() < 1 << (key_bits - bits)
+        sorts.append(bits)
+        return packed_sort(packed, bits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runs_module, "_KEY_BITS", key_bits)
+        mp.setattr(runs_module, "_packed_sort", counted_sort)
+        levels = list(runs_module._prefix_doubling(data))
+    kinds = round_kinds(levels, len(data))
+    bounds = [(int(lv.max()) + 2) ** 2 - 1 for lv, kind in zip(levels, kinds) if kind == "sorted"]
+    digits = [-(-bound.bit_length() // (key_bits - bits)) for bound in bounds]
+    assert len(sorts) == sum(digits), (len(sorts), digits)
+    assert all(d == 1 if budget == "int64" else d >= 2 for d in digits), digits
+    return levels
+
+
 class TestPrefixDoubling:
-    """Every level, sort-free or sorted, int16 or int32, against stable-sort ranks."""
+    """Every level, sort-free or sorted, int16 or int32, under each key budget,
+    against stable-sort ranks."""
 
     def check(self, data):
         codes = np.frombuffer(data, dtype=np.uint8)
-        levels = list(runs_module._prefix_doubling(data))
         expected = sorted_levels(codes)
-        assert len(levels) == len(expected)
-        for level, ranks in zip(levels, expected):
-            assert np.array_equal(level, ranks)
-            assert level.dtype == (np.int16 if level is not levels[-1] and ranks.max() < 0x7FFF else np.int32)
+        for budget in BUDGETS:
+            levels = doubling_levels(data, budget)
+            assert len(levels) == len(expected), budget
+            for level, ranks in zip(levels, expected):
+                assert np.array_equal(level, ranks), budget
+                assert level.dtype == (np.int16 if level is not levels[-1] and ranks.max() < 0x7FFF else np.int32)
         return levels
 
     @settings(max_examples=60, deadline=None)
@@ -260,7 +294,7 @@ class TestPrefixDoubling:
     def test_random_words(self, text):
         self.check(text.encode())
 
-    @pytest.mark.parametrize("index", [5, 7])
+    @pytest.mark.parametrize("index", [5, 6, 7])
     def test_family_members(self, index):
         self.check(run_rich_word(index).data)
 
@@ -309,14 +343,15 @@ class TestDoublingLevelsAgainstBlocks:
     ])
     def test_levels_rank_the_blocks(self, data):
         n = len(data)
-        levels = list(runs_module._prefix_doubling(data))
-        for k, level in enumerate(levels):
-            blocks = [data[i : i + (1 << k)] for i in range(n)]
-            dense = {block: r for r, block in enumerate(sorted(set(blocks)))}
-            assert level.tolist() == [dense[block] for block in blocks] + [-1], k
-            top = len(dense) - 1
-            assert (k > 0 and top == n - 1) == (level is levels[-1]), k
-            assert level.dtype == (np.int32 if level is levels[-1] or top >= 0x7FFF else np.int16), k
+        for budget in BUDGETS:
+            levels = doubling_levels(data, budget)
+            for k, level in enumerate(levels):
+                blocks = [data[i : i + (1 << k)] for i in range(n)]
+                dense = {block: r for r, block in enumerate(sorted(set(blocks)))}
+                assert level.tolist() == [dense[block] for block in blocks] + [-1], (budget, k)
+                top = len(dense) - 1
+                assert (k > 0 and top == n - 1) == (level is levels[-1]), (budget, k)
+                assert level.dtype == (np.int32 if level is levels[-1] or top >= 0x7FFF else np.int16), (budget, k)
 
     @pytest.mark.parametrize("n", [16, 1000, 1420, 1733, 2000])
     def test_no_table_round_follows_a_sorted_one(self, n):
