@@ -46,8 +46,8 @@ from .words import Word, power, read_word_file, word_from_text, write_word_file
 __all__ = ["Thresholds", "main"]
 
 # Bound on the max RSS per letter of any verb and listing flag, import
-# baseline included (getrusage): `verify`, the heaviest, reaches about 136
-# on built-in member 9 and 116 on member 10, `analyze` 97 on member 10.
+# baseline included (getrusage): `verify`, the heaviest, reaches about 134 on
+# built-in member 9 and 116-123 on member 10, by heap layout; `analyze` 97 there.
 BYTES_PER_LETTER = 150
 
 RATIO_TOLERANCE = Fraction(1, 10_000)

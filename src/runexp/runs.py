@@ -15,10 +15,16 @@ rounds (the dense rank of every 2^k-letter block; table rounds, then packed
 sorts) answer the extension queries by binary lifting, which lifts only the
 few pairs whose short blocks agree through the long levels. One candidate
 pass takes both orders; no Python loop runs over positions. Each run is
-reported exactly once, from its leftmost root (left extension < p) in its
-own order, so no dedup pass is needed; a repeated interval is an internal
-error. The brute-force engine applies the definition to every interval and
-serves as an independent oracle.
+reported exactly once, from its leftmost root (left extension < p), so no
+dedup pass is needed; a repeated interval is an internal error. The
+brute-force engine applies the definition to every interval and serves as an
+independent oracle.
+
+The Lyndon array decides each run's order, so no stage checks it. In order l,
+the suffix at q = a + lam[a] is l-smaller than the one at a; the two agree up
+to e = q + LCE(a, q), where data[e] against data[e - p], or suffix q ending at
+e = n, orders them. So order 0 gives e = n or data[e] < data[e - p]; order 1,
+where the end of the word ranks highest, gives e < n and data[e] > data[e - p].
 """
 
 from __future__ import annotations
@@ -345,9 +351,11 @@ def _runs_arrays(data: bytes):
     """All runs of ``data`` as sorted 0-based (start, end, period) columns, and the
     inverse suffix array.
 
-    A run is kept where ``lam`` of its letter order finds its leftmost Lyndon
-    root. Each block of ``_BLOCK`` positions takes both orders in one pass,
-    with an order column, to bound the memory of the extension queries.
+    Each block of ``_BLOCK`` positions takes both Lyndon arrays in one pass, to bound
+    the memory of the extension queries. A root a of length p, q = a + p, is kept if:
+    data[q] == data[a], without which a left extension below p cannot reach 2p (it
+    spares most positions the queries; the sentinel repeats no letter); the left
+    extension is below p (the run's leftmost root, so each run once); it reaches 2p.
     """
     n = len(data)
     levels = list(_prefix_doubling(data))
@@ -356,19 +364,13 @@ def _runs_arrays(data: bytes):
     cols = []
     for lo in range(0, n, _BLOCK):
         a = np.arange(lo, min(lo + _BLOCK, n), dtype=np.int32)
-        order = np.arange(2 * a.size) >= a.size
         a = np.concatenate((a, a))
         p = np.concatenate([lam[lo : lo + _BLOCK] for lam in lams])
         q = a + p
-        # A root left-extended by fewer than p letters reaches 2p only if the
-        # letter after it repeats its first letter (the sentinel never does).
         sel = codes[a] == codes[q]
-        a, p, q, order = a[sel], p[sel], q[sel], order[sel]
+        a, p, q = a[sel], p[sel], q[sel]
         e = q + _lce(levels, a, q)
-        # The end of the word ranks lowest, so a run ending the word is order 0.
-        sel = (codes[e] > codes[e - p]) == order
-        a, p, e = a[sel], p[sel], e[sel]
-        l_ext = _lce(levels, a, a + p, left=True)
+        l_ext = _lce(levels, a, q, left=True)
         keep = (l_ext < p) & (l_ext + e - a >= 2 * p)
         cols.append((a[keep] - l_ext[keep], e[keep] - 1, p[keep]))
     # A copy, not a view: a view would keep the last level's buffer alive on the heap.
@@ -395,16 +397,14 @@ def _suffix_ranks_small(data: bytes) -> list[int]:
 def _runs_python(data: bytes):
     """Same rule as the arrays engine, with direct letter comparisons.
 
-    The cheap filters run first, as in the arrays engine: the letter
-    after the root must repeat its first letter, then the left extension,
-    which stops at p letters, must stay below p. Only the candidates left
-    scan their right extension, which is unbounded: scanning it first
-    made every position of a unary word walk to the end of the word.
+    The same three filters in the same order. The two bounded by p letters run before
+    the unbounded right extension is scanned: scanning it first made every position of
+    a unary word walk to the end of the word.
     """
     n = len(data)
     isa = _suffix_ranks_small(data)
     found: list[tuple[int, int, int]] = []
-    for order, lam in enumerate((_lyndon_lengths(isa), _lyndon_lengths([n - 1 - r for r in isa]))):
+    for lam in (_lyndon_lengths(isa), _lyndon_lengths([n - 1 - r for r in isa])):
         for i in range(n):
             p = lam[i]
             q = i + p
@@ -418,9 +418,8 @@ def _runs_python(data: bytes):
             r = 1
             while q + r < n and data[i + r] == data[q + r]:
                 r += 1
-            e = q + r
-            if (e < n and data[e] > data[e - p]) == order and l + r >= p:
-                found.append((i - l, e - 1, p))
+            if l + r >= p:
+                found.append((i - l, q + r - 1, p))
     cols = np.array(found, dtype=np.int64).reshape(len(found), 3).T
     # Arrays of their own, as the RunSet keeps them: views would keep the table too.
     return _sorted_runs(n, *map(np.ascontiguousarray, cols)), isa

@@ -27,7 +27,7 @@ from runexp.runs import (
 )
 from runexp.words import word_from_text
 
-from oracles import as_triples, is_cubic
+from oracles import as_triples, assert_order_rule, is_cubic
 
 
 def w(text, alphabet="abc"):
@@ -389,12 +389,13 @@ class TestLyndonLengths:
     def check(data):
         n = len(data)
         isa = np.array(sorted_suffix_ranks(data))
-        for rank, beyond in ((isa, np.less), ((n - 1) - isa, np.greater)):
+        for order, (rank, beyond) in enumerate(((isa, np.less), ((n - 1) - isa, np.greater))):
             expected = []
             for i in range(n):
                 later = np.flatnonzero(beyond(isa[i + 1 :], isa[i]))
                 expected.append(int(later[0]) + 1 if later.size else n - i)
             assert runs_module._lyndon_lengths(rank.tolist()) == expected, data[:40]
+            assert_order_rule(data, expected, order)
 
     def test_every_binary_word_up_to_10(self):
         for data in binary_words(10):
@@ -412,10 +413,11 @@ class TestNextSmaller:
     def check(data):
         n = len(data)
         isa = list(runs_module._prefix_doubling(data))[-1][:n]
-        for rank in (isa, (n - 1) - isa):
+        for order, rank in enumerate((isa, (n - 1) - isa)):
             got = runs_module._next_smaller(rank)
             assert got.dtype == np.int32
             assert got.tolist() == list(runs_module._lyndon_lengths(rank.tolist())), data[:40]
+            assert_order_rule(data, got, order)
 
     def test_every_binary_word_up_to_12(self):
         for data in binary_words(12):
