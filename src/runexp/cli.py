@@ -2,9 +2,10 @@
 
 Verbs: generate (emit a family word), analyze (run statistics), runs
 (dump the run listing), verify (oracle comparison + handle checks +
-bound checks, JSON report), table3 (reproduce the built-in family
-table against embedded reference values), certify-lower-bound (each run
-checked, then sigma/n > target exactly, on a family word power).
+checks of the published bounds, JSON report), table3 (reproduce the
+built-in family table against embedded reference values),
+certify-lower-bound (each run checked, then sigma/n > 2.035 exactly, on a
+family word power). The bound constants are fixed in :class:`Thresholds`.
 
 Every input is admitted by one memory rule before it is built or read:
 its letter count (a family member's predicted length, a word file's
@@ -22,7 +23,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
 
@@ -47,7 +48,7 @@ __all__ = ["Thresholds", "main"]
 
 # Bound on the max RSS per letter of any verb and listing flag, import
 # baseline included (getrusage): `verify`, the heaviest, reaches about 134 on
-# built-in member 9 and 116-123 on member 10, by heap layout; `analyze` 97 there.
+# built-in member 9 and 123 on member 10; `analyze` 97 on member 10.
 BYTES_PER_LETTER = 150
 
 RATIO_TOLERANCE = Fraction(1, 10_000)
@@ -59,18 +60,15 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Published bound constants; fixed unless explicitly overridden."""
+    """The published bound constants that `verify` and `certify-lower-bound`
+    check. The CLI sets none of them; :func:`bound_checks` takes other limits
+    from Python."""
 
     lower_bound_target: Fraction = Fraction("2.035")
     runs_bound: Fraction = Fraction("1.029")
     cubic_runs_bound: Fraction = Fraction("0.5")
     sigma_bound: Fraction = Fraction("4.1")
     sigma_cubic_bound: Fraction = Fraction("2.5")
-
-
-# The thresholds each verb reads, and so the only ones it lets --threshold set.
-VERIFY_THRESHOLDS = ("runs_bound", "cubic_runs_bound", "sigma_bound", "sigma_cubic_bound")
-CERTIFY_THRESHOLDS = ("lower_bound_target",)
 
 
 def ratio_string(num: int | Fraction, den: int, digits: int) -> str:
@@ -96,10 +94,13 @@ def ratio_matches(exact: Fraction, published: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def emit_markdown(headers: Sequence[str], rows: Sequence[Sequence[str]], out: TextIO) -> None:
-    out.write("| " + " | ".join(headers) + " |\n")
+    """A pipe table; a `|` in a cell (a letter of a word or a path) is written `\\|`."""
+    def line(cells: Sequence[str]) -> str:
+        return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |\n"
+
+    out.write(line(headers))
     out.write("|" + "|".join(" --- " for _ in headers) + "|\n")
-    for row in rows:
-        out.write("| " + " | ".join(row) + " |\n")
+    out.writelines(map(line, rows))
 
 
 def emit_csv(headers: Sequence[str], rows: Sequence[Sequence[str]], out: TextIO) -> None:
@@ -181,24 +182,6 @@ def resolve_word(arg: str, *, family_spec: str | None) -> tuple[Word, str]:
     if os.sep in arg:
         raise OSError(f"no such file: {arg}")
     return word_from_text(arg, set(arg)), arg
-
-
-def _parse_threshold_overrides(pairs: Sequence[str] | None, names: Sequence[str]) -> Thresholds:
-    """The defaults with each NAME=VALUE of ``pairs`` applied; NAME must be
-    one of ``names``, the thresholds the verb reads."""
-    thresholds = Thresholds()
-    for pair in pairs or ():
-        name, sep, value = pair.partition("=")
-        try:
-            if not sep or name not in names:
-                raise ValueError
-            thresholds = replace(thresholds, **{name: Fraction(value)})
-        except (ValueError, ZeroDivisionError):  # Fraction("1/0") divides by zero
-            raise ValueError(
-                f"bad threshold override {pair!r}; expected NAME=VALUE with NAME in "
-                + ", ".join(sorted(names))
-            ) from None
-    return thresholds
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +305,6 @@ def bound_checks(stats: RunStats, thresholds: Thresholds) -> dict[str, dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    thresholds = _parse_threshold_overrides(args.threshold, VERIFY_THRESHOLDS)
     word, label = resolve_word(args.input, family_spec=args.family_spec)
     try:
         handle_report = verify_handle_properties(word)
@@ -337,7 +319,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         oracle["checked"] = True
         oracle["match"] = find_runs_bruteforce(word) == runs
 
-    bounds = bound_checks(stats, thresholds)
+    bounds = bound_checks(stats, Thresholds())
 
     ok = (
         (oracle["match"] is not False)
@@ -394,7 +376,7 @@ def cmd_table3(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    target = _parse_threshold_overrides(args.threshold, CERTIFY_THRESHOLDS).lower_bound_target
+    target = Thresholds().lower_bound_target
     if args.power < 1:
         raise UsageError(f"--power must be >= 1, got {count_text(args.power)}")
     member, _ = _family_member(args.index, None, copies=args.power)
@@ -453,10 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", metavar="FILE", help="write the listing here instead of stdout")
     p.set_defaults(func=cmd_runs)
 
-    p = sub.add_parser("verify", help="oracle + handle + bound checks, JSON report")
+    p = sub.add_parser("verify", help="oracle + handle + published-bound checks, JSON report")
     _add_input_options(p)
-    p.add_argument("--threshold", action="append", metavar="NAME=VALUE",
-                   help=f"override a bound constant, NAME in {', '.join(VERIFY_THRESHOLDS)} (repeatable)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table3", help="reproduce the built-in family table")
@@ -465,11 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table3)
 
     p = sub.add_parser("certify-lower-bound",
-                       help="exact check that sigma/n beats the target on a family word power")
+                       help="exact check that sigma/n beats 2.035 on a family word power")
     p.add_argument("--index", type=int, default=8, metavar="I", help="family index (default 8)")
     p.add_argument("--power", type=int, default=1, metavar="K", help="repeat count (default 1)")
-    p.add_argument("--threshold", action="append", metavar="NAME=VALUE",
-                   help="override the target, e.g. lower_bound_target=2.03 (the one NAME; repeatable)")
     p.set_defaults(func=cmd_certify)
 
     return parser

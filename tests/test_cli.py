@@ -52,7 +52,7 @@ def never(*args, **kwargs):
 
 def parse_markdown_table(text):
     lines = [l for l in text.splitlines() if l.startswith("|")]
-    rows = [[c.strip() for c in line.strip("|").split("|")] for line in lines]
+    rows = [[c.strip().replace("\\|", "|") for c in re.split(r"(?<!\\)\|", line[1:-1])] for line in lines]
     return [dict(zip(rows[0], r)) for r in rows[2:]]
 
 
@@ -65,6 +65,13 @@ class TestAnalyze:
         assert cells["rho"] == "4"
         assert cells["sigma_exact"] == "26/3"
         assert cells["sigma"] == "8.67"
+
+    def test_pipe_letter_is_escaped_in_markdown(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "a|a")
+        assert code == 0
+        assert r"| word | a\|a |" in out.splitlines()
+        cells = {r["field"]: r["value"] for r in parse_markdown_table(out)}
+        assert (cells["word"], cells["n"]) == ("a|a", "3")
 
     def test_no_runs_word(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "abc", "--format", "csv")
@@ -410,43 +417,37 @@ class TestVerify:
         assert json.loads(out)["pass"] is True
         assert len(calls) == 1
 
-    def test_threshold_override_can_force_failure(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "aaaa", "--threshold", "runs_bound=0.1"
-        )
+    def test_threshold_override_can_force_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr("runexp.cli.Thresholds", lambda: Thresholds(runs_bound=Fraction("0.1")))
+        code, out, _ = run_cli(capsys, "verify", "aaaa")
         assert code == 1
         report = json.loads(out)
         assert report["pass"] is False
         assert report["bounds"]["rho_le_runs_bound_n"]["ok"] is False
 
-    def test_bad_threshold_name(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "aaaa", "--threshold", "nope=1")
-        assert code == 2
-        assert "threshold" in err
+    def test_reported_limits_are_the_published_constants(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "aabaabaa")
+        assert code == 0
+        # exact fractions: 1.029, 4.1, 0.5 and 2.5
+        assert {name: entry["limit"] for name, entry in json.loads(out)["bounds"].items()} == {
+            "rho_le_runs_bound_n": "1029/1000",
+            "sigma_lt_sigma_bound_n": "41/10",
+            "rho_cubic_le_cubic_runs_bound_n": "1/2",
+            "sigma_cubic_lt_sigma_cubic_bound_n": "5/2",
+            "sigma_lt_3rho_plus_n": None,
+        }
 
     @pytest.mark.parametrize("argv", [
-        ("verify", "aab", "--threshold", "sigma_bound=1/0"),
-        ("certify-lower-bound", "--index", "1", "--threshold", "lower_bound_target=1/0"),
+        ("verify", "aab", "--threshold", "runs_bound=1"),
+        ("certify-lower-bound", "--threshold", "lower_bound_target=2"),
     ])
-    def test_threshold_with_zero_denominator(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: bad threshold override {argv[-1]!r}")
-
-    @pytest.mark.parametrize("argv, name, allowed", [
-        (("verify", "aabaabaa"), "lower_bound_target",
-         "cubic_runs_bound, runs_bound, sigma_bound, sigma_cubic_bound"),
-        *((("certify-lower-bound", "--index", "3", "--threshold", "lower_bound_target=1"), name,
-           "lower_bound_target")
-          for name in ("runs_bound", "cubic_runs_bound", "sigma_bound", "sigma_cubic_bound")),
-    ])
-    def test_threshold_the_verb_does_not_read_refused(self, capsys, argv, name, allowed):
-        code, out, err = run_cli(capsys, *argv, "--threshold", f"{name}=0.001")
-        assert code == 2
-        assert out == ""
-        assert err == (f"error: bad threshold override '{name}=0.001'; "
-                       f"expected NAME=VALUE with NAME in {allowed}\n")
+    def test_threshold_option_is_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --threshold" in captured.err
 
 
 class TestTable3:
@@ -510,11 +511,9 @@ class TestCertify:
         assert code == 1
         assert "verdict: FAIL" in out
 
-    def test_lowered_target_passes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "certify-lower-bound", "--index", "4",
-            "--threshold", "lower_bound_target=2.0",
-        )
+    def test_member_8_passes(self, capsys):
+        # the smallest member above 2.035
+        code, out, _ = run_cli(capsys, "certify-lower-bound", "--index", "8")
         assert code == 0
         assert "verdict: PASS" in out
 
