@@ -5,7 +5,8 @@ Verbs: generate (emit a family word), analyze (run statistics), runs
 checks of the published bounds, JSON report), table3 (reproduce the
 built-in family table against embedded reference values),
 certify-lower-bound (each run checked, then sigma/n > 2.035 exactly, on a
-family word power). The bound constants are fixed in :class:`Thresholds`.
+family word power). The bound constants are fixed: :data:`PUBLISHED_BOUNDS`
+and :data:`LOWER_BOUND_TARGET`.
 
 Every input is admitted by one memory rule before it is built or read:
 its letter count (a family member's predicted length, a word file's
@@ -23,7 +24,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
 
@@ -44,7 +44,7 @@ from .runs import (
 )
 from .words import Word, power, read_word_file, word_from_text, write_word_file
 
-__all__ = ["Thresholds", "main"]
+__all__ = ["LOWER_BOUND_TARGET", "PUBLISHED_BOUNDS", "main"]
 
 # Bound on the max RSS per letter of any verb and listing flag, import
 # baseline included (getrusage): `verify`, the heaviest, reaches about 134 on
@@ -58,17 +58,16 @@ class UsageError(Exception):
     """Bad invocation or refused input; reported on stderr, exit code 2."""
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """The published bound constants that `verify` and `certify-lower-bound`
-    check. The CLI sets none of them; :func:`bound_checks` takes other limits
-    from Python."""
-
-    lower_bound_target: Fraction = Fraction("2.035")
-    runs_bound: Fraction = Fraction("1.029")
-    cubic_runs_bound: Fraction = Fraction("0.5")
-    sigma_bound: Fraction = Fraction("4.1")
-    sigma_cubic_bound: Fraction = Fraction("2.5")
+# The published per-letter bounds that `verify` checks: check name ->
+# (limit c, the RunStats field held to c * n).
+PUBLISHED_BOUNDS = {
+    "rho_le_runs_bound_n": (Fraction("1.029"), "rho"),
+    "sigma_lt_sigma_bound_n": (Fraction("4.1"), "sigma"),
+    "rho_cubic_le_cubic_runs_bound_n": (Fraction("0.5"), "rho_cubic"),
+    "sigma_cubic_lt_sigma_cubic_bound_n": (Fraction("2.5"), "sigma_cubic"),
+}
+# `certify-lower-bound` passes when sigma/n exceeds it.
+LOWER_BOUND_TARGET = Fraction("2.035")
 
 
 def ratio_string(num: int | Fraction, den: int, digits: int) -> str:
@@ -275,33 +274,22 @@ def cmd_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def bound_checks(stats: RunStats, thresholds: Thresholds) -> dict[str, dict]:
-    """Exact-rational instance checks of the published bounds, which speak of
-    n >= 1: at n = 0, where every count and sum is 0, all are met."""
+def _within(value: int | Fraction, cap: Fraction) -> bool:
+    """A count (an int) may reach its cap; an exponent sum (a Fraction) stays below it."""
+    return value <= cap if isinstance(value, int) else value < cap
+
+
+def bound_checks(stats: RunStats) -> dict[str, dict]:
+    """Exact-rational instance checks of :data:`PUBLISHED_BOUNDS` and of
+    sigma < 3 rho + n. The bounds speak of n >= 1: at n = 0, where every
+    count and sum is 0, all are met."""
     n = stats.n
-    checks = {
-        "rho_le_runs_bound_n": (
-            thresholds.runs_bound,
-            Fraction(stats.rho) <= thresholds.runs_bound * n,
-        ),
-        "sigma_lt_sigma_bound_n": (
-            thresholds.sigma_bound,
-            not n or stats.sigma < thresholds.sigma_bound * n,
-        ),
-        "rho_cubic_le_cubic_runs_bound_n": (
-            thresholds.cubic_runs_bound,
-            Fraction(stats.rho_cubic) <= thresholds.cubic_runs_bound * n,
-        ),
-        "sigma_cubic_lt_sigma_cubic_bound_n": (
-            thresholds.sigma_cubic_bound,
-            not n or stats.sigma_cubic < thresholds.sigma_cubic_bound * n,
-        ),
-        "sigma_lt_3rho_plus_n": (None, not n or stats.sigma < 3 * stats.rho + n),
+    report = {
+        name: {"limit": str(limit), "ok": not n or _within(getattr(stats, field), limit * n)}
+        for name, (limit, field) in PUBLISHED_BOUNDS.items()
     }
-    return {
-        name: {"limit": None if lim is None else str(lim), "ok": bool(ok)}
-        for name, (lim, ok) in checks.items()
-    }
+    report["sigma_lt_3rho_plus_n"] = {"limit": None, "ok": not n or stats.sigma < 3 * stats.rho + n}
+    return report
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -319,7 +307,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         oracle["checked"] = True
         oracle["match"] = find_runs_bruteforce(word) == runs
 
-    bounds = bound_checks(stats, Thresholds())
+    bounds = bound_checks(stats)
 
     ok = (
         (oracle["match"] is not False)
@@ -376,7 +364,6 @@ def cmd_table3(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    target = Thresholds().lower_bound_target
     if args.power < 1:
         raise UsageError(f"--power must be >= 1, got {count_text(args.power)}")
     member, _ = _family_member(args.index, None, copies=args.power)
@@ -384,12 +371,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
     runs = find_runs(word)
     stats = run_stats(word, runs)
     ratio = Fraction(stats.sigma, stats.n)
-    verdict = ratio > target
+    verdict = ratio > LOWER_BOUND_TARGET
     print(f"word: run-rich member {args.index} to the power {args.power}")
     print(f"n: {stats.n}")
     print(f"sigma: {stats.sigma}")
     print(f"sigma/n: {ratio} = {fraction_to_decimal(ratio, 6)} (6 decimals)")
-    print(f"target: {target} = {fraction_to_decimal(target, 6)} (6 decimals)")
+    print(f"target: {LOWER_BOUND_TARGET} = {fraction_to_decimal(LOWER_BOUND_TARGET, 6)} (6 decimals)")
     try:
         validate_runs(word, runs)
     except ValueError as exc:  # the sum is not one over runs: no verdict on it holds

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from runexp import runs as runs_module
-from runexp.cli import Thresholds, ratio_matches, sigma_cell_matches
+from runexp.cli import LOWER_BOUND_TARGET, PUBLISHED_BOUNDS, ratio_matches, sigma_cell_matches
 from runexp.families import run_rich_word
 from runexp.handles import verify_handle_properties
 from runexp.reference import EXTERNAL_FAMILY_REFERENCE, MAIN_FAMILY_REFERENCE
@@ -87,7 +87,7 @@ def test_criterion_1_table_reproduction():
 
 def test_criterion_2_lower_bound_certificate():
     """sigma/n > 2.035 for member 8 and its square, by exact comparison."""
-    target = Thresholds().lower_bound_target
+    target = LOWER_BOUND_TARGET
     problems = []
     details = []
     base = run_rich_word(8)
@@ -155,7 +155,11 @@ def test_criterion_4_handle_suite(binary_corpus, ternary_corpus):
 
 def test_criterion_5_bound_sanity(binary_corpus, ternary_corpus):
     """Published bounds hold exactly on every analyzed word."""
-    th = Thresholds()
+    runs_bound, sigma_bound, cubic_runs_bound, sigma_cubic_bound = (
+        PUBLISHED_BOUNDS[name][0]
+        for name in ("rho_le_runs_bound_n", "sigma_lt_sigma_bound_n",
+                     "rho_cubic_le_cubic_runs_bound_n", "sigma_cubic_lt_sigma_cubic_bound_n")
+    )
     problems = []
     words = itertools.chain(
         (word_from_text(t, "ab") for t in binary_corpus),
@@ -166,14 +170,14 @@ def test_criterion_5_bound_sanity(binary_corpus, ternary_corpus):
     for word in words:
         stats = run_stats(word, find_runs(word))
         n = stats.n
-        if not Fraction(stats.rho) <= th.runs_bound * n:
-            problems.append(f"rho > {th.runs_bound}n at n={n}")
-        if not stats.sigma < th.sigma_bound * n:
-            problems.append(f"sigma >= {th.sigma_bound}n at n={n}")
-        if not Fraction(stats.rho_cubic) <= th.cubic_runs_bound * n:
-            problems.append(f"rho_cubic > {th.cubic_runs_bound}n at n={n}")
-        if not stats.sigma_cubic < th.sigma_cubic_bound * n:
-            problems.append(f"sigma_cubic >= {th.sigma_cubic_bound}n at n={n}")
+        if not Fraction(stats.rho) <= runs_bound * n:
+            problems.append(f"rho > {runs_bound}n at n={n}")
+        if not stats.sigma < sigma_bound * n:
+            problems.append(f"sigma >= {sigma_bound}n at n={n}")
+        if not Fraction(stats.rho_cubic) <= cubic_runs_bound * n:
+            problems.append(f"rho_cubic > {cubic_runs_bound}n at n={n}")
+        if not stats.sigma_cubic < sigma_cubic_bound * n:
+            problems.append(f"sigma_cubic >= {sigma_cubic_bound}n at n={n}")
         if not stats.sigma < 3 * stats.rho + n:
             problems.append(f"sigma >= 3 rho + n at n={n}")
         checked += 1

@@ -13,14 +13,14 @@ import pytest
 from runexp import runs as runs_module
 from runexp.cli import (
     BYTES_PER_LETTER,
-    Thresholds,
+    PUBLISHED_BOUNDS,
     bound_checks,
     main,
     ratio_matches,
     sigma_cell_matches,
 )
 from runexp.families import generate_member
-from runexp.runs import Run, RunSet, find_runs, run_stats
+from runexp.runs import Run, RunSet, RunStats, find_runs
 from runexp.words import word_from_text
 
 from oracles import enumerate_as
@@ -417,13 +417,14 @@ class TestVerify:
         assert json.loads(out)["pass"] is True
         assert len(calls) == 1
 
-    def test_threshold_override_can_force_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr("runexp.cli.Thresholds", lambda: Thresholds(runs_bound=Fraction("0.1")))
+    def test_a_failed_bound_fails_verify(self, capsys, monkeypatch):
+        monkeypatch.setitem(PUBLISHED_BOUNDS, "rho_le_runs_bound_n", (Fraction("0.1"), "rho"))
         code, out, _ = run_cli(capsys, "verify", "aaaa")
         assert code == 1
         report = json.loads(out)
         assert report["pass"] is False
-        assert report["bounds"]["rho_le_runs_bound_n"]["ok"] is False
+        assert report["bounds"].pop("rho_le_runs_bound_n")["ok"] is False
+        assert [entry["ok"] for entry in report["bounds"].values()] == [True] * 4
 
     def test_reported_limits_are_the_published_constants(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "aabaabaa")
@@ -589,12 +590,20 @@ class TestComparisonHelpers:
         assert not ratio_matches(Fraction("1.5196"), "1.5194")
 
     def test_bound_checks_use_exact_arithmetic(self):
-        word = word_from_text("aabaabaa", "ab")
-        stats = run_stats(word, find_runs(word))
-        result = bound_checks(stats, Thresholds())
-        assert all(entry["ok"] for entry in result.values())
-        tight = bound_checks(stats, Thresholds(sigma_bound=Fraction(26, 24)))
-        assert tight["sigma_lt_sigma_bound_n"]["ok"] is False
+        # n = 1000, every statistic 0 but one: a count may reach its limit
+        # times n, an exponent sum may not.
+        zero = dict(n=1000, rho=0, sigma=Fraction(0), rho_cubic=0, sigma_cubic=Fraction(0))
+        edges = [
+            ("rho_le_runs_bound_n", "rho", 1029, 1030),
+            ("rho_cubic_le_cubic_runs_bound_n", "rho_cubic", 500, 501),
+            ("sigma_lt_sigma_bound_n", "sigma", 4100 - Fraction(1, 10**30), Fraction(4100)),
+            ("sigma_cubic_lt_sigma_cubic_bound_n", "sigma_cubic", 2500 - Fraction(1, 10**30), Fraction(2500)),
+        ]
+        for check, field, passing, failing in edges:
+            assert bound_checks(RunStats(**{**zero, field: passing}))[check]["ok"] is True
+            assert bound_checks(RunStats(**{**zero, field: failing}))[check]["ok"] is False
+        empty = bound_checks(RunStats(**{**zero, "n": 0}))
+        assert [entry["ok"] for entry in empty.values()] == [True] * 5
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
