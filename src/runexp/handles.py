@@ -13,8 +13,10 @@ The suite starts from each run's Lyndon roots lo and hi, the 0-based starts
 of the two rotations in its first period. Suffixes starting there keep more
 than p letters of the run and rotations of a primitive block differ within p
 letters, so lo and hi are the argmin and argmax of the inverse suffix array
-over the first period. That inverse suffix array is the one the run
-enumeration built, so each verified word is suffix-sorted once. By Fine-Wilf
+over the first period. For a word the arrays engine enumerates, that inverse
+suffix array is the one its enumeration built; a short word, whose Python
+engine sorts no suffixes, is ranked by ``_suffix_ranks_small``. Either way
+each verified word is suffix-sorted once. By Fine-Wilf
 the rotations recur in the run only every p letters: H(v) is x + m*p, m >= 1,
 for x in {lo, hi}, while inside the run.
 """

@@ -16,9 +16,11 @@ sorts) answer the extension queries by binary lifting, which lifts only the
 few pairs whose short blocks agree through the long levels. One candidate
 pass takes both orders; no Python loop runs over positions. Each run is
 reported exactly once, from its leftmost root (left extension < p), so no
-dedup pass is needed; a repeated interval is an internal error. The
-brute-force engine applies the definition to every interval and serves as an
-independent oracle.
+dedup pass is needed; a repeated interval is an internal error. Short words
+take a plain-Python engine with the same rule, which finds both Lyndon arrays
+by comparing the word's suffixes as bytes and sorts none. The brute-force
+engine applies the definition to every interval and serves as an independent
+oracle.
 
 The Lyndon array decides each run's order, so no stage checks it. In order l,
 the suffix at q = a + lam[a] is l-smaller than the one at a; the two agree up
@@ -29,8 +31,10 @@ where the end of the word ranks highest, gives e < n and data[e] > data[e - p].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -54,8 +58,11 @@ __all__ = [
 # the quadratic worst case is harmless at this size and the per-call
 # numpy overhead dominates otherwise. Both paths run the same algorithm.
 # On random words over 1-4 letters, taken in equal shares, the arrays
-# engine is faster from about 800 letters (binary words from about 600,
-# 3 and 4 letters from about 750, unary words not up to 1,300).
+# engine is faster from about 1,300 letters (binary words from about 900,
+# 3 letters from about 1,200, 4 from about 1,400, unary words from about
+# 2,300; Python 3.11, numpy 2.4, 2-core host). The limit stays at 800: the
+# tests that check the arrays engine against the definition just above it
+# would grow with it.
 SMALL_ENGINE_LIMIT = 800
 
 # Positions per step of the arrays engine's extension queries.
@@ -269,34 +276,13 @@ def _lce(levels: list[np.ndarray], x: np.ndarray, y: np.ndarray, left: bool = Fa
     return lift(x, y, h, range(split - 1, -1, -1))
 
 
-def _lyndon_lengths(rank) -> list[int]:
-    """Distance from each position to the next suffix that ranks lower.
-
-    Over the inverse suffix array (end of word lowest) this is the
-    length of the longest Lyndon prefix at each position in letter
-    order 0. Over the reversed ranks, n - 1 - rank, it is the next
-    *greater* suffix, which gives order 1: reversed letters with the end
-    of the word highest. There the value is the longest Lyndon prefix
-    wherever the comparison is settled before the end of the word, which
-    holds at the roots of every run that order is asked for. One pass
-    over one list, right to left: the search from i starts at i + 1 and
-    jumps from each j that ranks higher to nxt[j]; a position jumped from
-    is never reached again, so the work is O(n). The Python engine's pass,
-    and the test oracle of :func:`_next_smaller`, which the arrays engine uses.
-    """
-    n = len(rank)
-    nxt = [n] * n
-    for i in range(n - 2, -1, -1):
-        ri = rank[i]
-        j = i + 1
-        while j < n and rank[j] > ri:
-            j = nxt[j]
-        nxt[i] = j
-    return [j - i for i, j in enumerate(nxt)]
-
-
 def _next_smaller(rank: np.ndarray) -> np.ndarray:
-    """:func:`_lyndon_lengths` over numpy ranks, with no Python loop per position.
+    """Distance from each position to the next one of lower ``rank`` (n if none),
+    with no Python loop per position.
+
+    Over the inverse suffix array (end of word lowest) this is the longest
+    Lyndon prefix at each position in order 0; over n - 1 - rank, the next
+    greater suffix, it gives order 1.
 
     ``mins`` holds one int32 array per level, about 2n in all: level 0 is
     the ranks and a -1 sentinel, each level above the pairwise minimum of
@@ -386,6 +372,9 @@ def _runs_arrays(data: bytes):
 # ---------------------------------------------------------------------------
 
 def _suffix_ranks_small(data: bytes) -> list[int]:
+    """The inverse suffix array of a short word (end of word lowest), by sorting its
+    suffixes as bytes: the ranks the handle suite takes for a word the Python engine
+    enumerates, which sorts no suffixes."""
     n = len(data)
     order = sorted(range(n), key=lambda i: data[i:])
     isa = [0] * n
@@ -394,35 +383,62 @@ def _suffix_ranks_small(data: bytes) -> list[int]:
     return isa
 
 
-def _runs_python(data: bytes):
-    """Same rule as the arrays engine, with direct letter comparisons.
+def _lyndon_pass(data: bytes, suf: list[bytes], order: int, found: list) -> list[int]:
+    """One order's Lyndon array of ``data``, from its suffixes ``suf`` compared as
+    bytes, as next positions nxt (nxt[i] - i is the length at i); each run found is
+    appended to ``found`` as 0-based (start, end, period).
 
-    The same three filters in the same order. The two bounded by p letters run before
-    the unbounded right extension is scanned: scanning it first made every position of
-    a unary word walk to the end of the word.
+    Order 0 is bytes order (a suffix below its extensions): nxt[i] is the next
+    smaller suffix. Order 1 reverses every comparison: nxt[i] is the next greater
+    suffix, the longest Lyndon prefix wherever the comparison is settled before the
+    end of the word, as at every root that order is asked for. Right to left, the
+    search from i jumps along nxt over the suffixes that do not pass suffix i; a
+    position jumped from is never reached again, so O(n) comparisons, each in C.
+    Each position is tested as a root once settled, by the arrays engine's three
+    filters in its order; the two bounded by p letters come before the unbounded
+    right extension, which would walk every position of a unary word to its end.
     """
     n = len(data)
-    isa = _suffix_ranks_small(data)
+    nxt = [n] * n
+    for i in range(n - 2, -1, -1):
+        s = suf[i]
+        q = i + 1
+        if order:
+            while q < n and suf[q] < s:
+                q = nxt[q]
+        else:
+            while q < n and suf[q] > s:
+                q = nxt[q]
+        nxt[i] = q
+        if q == n or data[i] != data[q]:
+            continue
+        p = q - i
+        l = 0
+        while l < i and l < p and data[i - 1 - l] == data[q - 1 - l]:
+            l += 1
+        if l == p:
+            continue
+        r = 1
+        while q + r < n and data[i + r] == data[q + r]:
+            r += 1
+        if l + r >= p:
+            found.append((i - l, q + r - 1, p))
+    return nxt
+
+
+def _runs_python(data: bytes):
+    """All runs of ``data`` as sorted 0-based (start, end, period) columns, by the
+    arrays engine's rule with no suffix array: each order takes one
+    :func:`_lyndon_pass` over the word's suffixes as bytes objects, n(n + 1)/2
+    bytes in all (about 320 KB below ``SMALL_ENGINE_LIMIT``)."""
+    n = len(data)
+    suf = [data[i:] for i in range(n)]
     found: list[tuple[int, int, int]] = []
-    for lam in (_lyndon_lengths(isa), _lyndon_lengths([n - 1 - r for r in isa])):
-        for i in range(n):
-            p = lam[i]
-            q = i + p
-            if q >= n or data[i] != data[q]:
-                continue
-            l = 0
-            while l < i and l < p and data[i - 1 - l] == data[q - 1 - l]:
-                l += 1
-            if l == p:
-                continue
-            r = 1
-            while q + r < n and data[i + r] == data[q + r]:
-                r += 1
-            if l + r >= p:
-                found.append((i - l, q + r - 1, p))
+    for order in (0, 1):
+        _lyndon_pass(data, suf, order, found)
     cols = np.array(found, dtype=np.int64).reshape(len(found), 3).T
     # Arrays of their own, as the RunSet keeps them: views would keep the table too.
-    return _sorted_runs(n, *map(np.ascontiguousarray, cols)), isa
+    return _sorted_runs(n, *map(np.ascontiguousarray, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +451,24 @@ def find_runs(w: Word) -> RunSet:
     Words shorter than ``SMALL_ENGINE_LIMIT`` letters take the plain-Python
     engine, longer ones the numpy arrays engine; both apply the same rule.
     """
-    return _runs_and_ranks(w)[0]
+    return _enumerate(w.data)[0]
 
 
 def _runs_and_ranks(w: Word):
-    """:func:`find_runs`, and the inverse suffix array (end of word lowest)
-    that its engine built: a list from the Python engine, an int32 array
-    from the arrays engine. The engine follows from the length alone."""
-    data = w.data
-    engine = _runs_python if len(data) < SMALL_ENGINE_LIMIT else _runs_arrays
-    (starts, ends, periods), isa = engine(data)
+    """:func:`find_runs`, and the inverse suffix array (end of word lowest): the
+    arrays engine's own, an int32 array, or for a word the Python engine takes,
+    a list from :func:`_suffix_ranks_small`."""
+    runs, isa = _enumerate(w.data)
+    return runs, _suffix_ranks_small(w.data) if isa is None else isa
+
+
+def _enumerate(data: bytes):
+    """The RunSet of ``data`` from the engine its length picks, and the inverse
+    suffix array the arrays engine built (None from the Python engine)."""
+    if len(data) < SMALL_ENGINE_LIMIT:
+        (starts, ends, periods), isa = _runs_python(data), None
+    else:
+        (starts, ends, periods), isa = _runs_arrays(data)
     starts += 1
     ends += 1
     return RunSet(starts, ends, periods), isa
@@ -519,18 +543,21 @@ def run_stats(w: Word, runs: RunSet) -> RunStats:
 
     Run lengths are summed into two int64 tables indexed by period, one over
     all runs and one over the cubic runs (length >= 3p): S_p is the total
-    length of the runs of period p. Then sigma = sum of S_p / p over the
-    nonzero entries, in exact rationals; no sort groups the periods.
+    length of the runs of period p. Then sigma = (sum of S_p * (L / p)) / L
+    over the periods present, L their least common multiple: one exact
+    division per sum, no sort groups the periods. The cubic runs' periods are
+    among them, so both sums share L.
     """
     lens = runs.ends - runs.starts + 1
     cubic = lens >= 3 * runs.periods
     tables = np.zeros((2, int(runs.periods.max(initial=0)) + 1), dtype=np.int64)
     np.add.at(tables[0], runs.periods, lens)
     np.add.at(tables[1], runs.periods[cubic], lens[cubic])
-    sigma, sigma_cubic = (
-        sum(map(Fraction, table[table != 0].tolist(), np.flatnonzero(table).tolist()), Fraction(0))
-        for table in tables
-    )
+    present = np.flatnonzero(tables[0])
+    periods = present.tolist()
+    lcm = math.lcm(*periods)
+    shares = [lcm // p for p in periods]
+    sigma, sigma_cubic = (Fraction(sum(map(mul, table[present].tolist(), shares)), lcm) for table in tables)
     return RunStats(n=len(w), rho=len(runs), sigma=sigma,
                     rho_cubic=int(np.count_nonzero(cubic)), sigma_cubic=sigma_cubic)
 

@@ -1,5 +1,5 @@
-"""Helpers that only the tests use: views of runs, the engines' order rule and a
-patched enumeration."""
+"""Helpers that only the tests use: views of runs, the engines' order rule, the
+pointer-jumping Lyndon array over ranks and a patched enumeration."""
 
 import numpy as np
 
@@ -45,7 +45,33 @@ def assert_order_rule(data, lam, order):
         raise AssertionError(f"order {order}: position {a[k]}, lam {p[k]}, mismatch at {e[k]}: {data[:40]!r}")
 
 
+def _lyndon_lengths(rank) -> list[int]:
+    """Distance from each position to the next suffix that ranks lower.
+
+    Over the inverse suffix array (end of word lowest) this is the
+    length of the longest Lyndon prefix at each position in letter
+    order 0. Over the reversed ranks, n - 1 - rank, it is the next
+    *greater* suffix, which gives order 1: reversed letters with the end
+    of the word highest. There the value is the longest Lyndon prefix
+    wherever the comparison is settled before the end of the word, which
+    holds at the roots of every run that order is asked for. One pass
+    over one list, right to left: the search from i starts at i + 1 and
+    jumps from each j that ranks higher to nxt[j]; a position jumped from
+    is never reached again, so the work is O(n). The oracle of the arrays
+    engine's ``_next_smaller`` and of the Python engine's ``_lyndon_pass``.
+    """
+    n = len(rank)
+    nxt = [n] * n
+    for i in range(n - 2, -1, -1):
+        ri = rank[i]
+        j = i + 1
+        while j < n and rank[j] > ri:
+            j = nxt[j]
+        nxt[i] = j
+    return [j - i for i, j in enumerate(nxt)]
+
+
 def enumerate_as(monkeypatch, runs):
-    """Make the handle suite see ``runs`` as the enumeration of the word it checks."""
-    real = runs_module._runs_and_ranks
-    monkeypatch.setattr(runs_module, "_runs_and_ranks", lambda word: (runs, real(word)[1]))
+    """Make ``find_runs`` and the handle suite see ``runs`` as the enumeration of any word."""
+    real = runs_module._enumerate
+    monkeypatch.setattr(runs_module, "_enumerate", lambda data: (runs, real(data)[1]))

@@ -520,14 +520,14 @@ class TestCertify:
 
     def test_run_breaking_the_definition_fails(self, capsys, monkeypatch):
         # member 2 squared has 238 letters and not period 1
-        real = runs_module._runs_and_ranks
+        real = runs_module._enumerate
         bad = Run(1, 238, 1)
 
-        def with_bad_run(word):
-            runs, isa = real(word)
+        def with_bad_run(data):
+            runs, isa = real(data)
             return RunSet.from_runs([*runs, bad]), isa
 
-        monkeypatch.setattr(runs_module, "_runs_and_ranks", with_bad_run)
+        monkeypatch.setattr(runs_module, "_enumerate", with_bad_run)
         code, out, err = run_cli(capsys, "certify-lower-bound", "--index", "2", "--power", "2")
         assert code == 1
         assert err == ""

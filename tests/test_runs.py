@@ -27,19 +27,19 @@ from runexp.runs import (
 )
 from runexp.words import word_from_text
 
-from oracles import as_triples, assert_order_rule, is_cubic
+from oracles import _lyndon_lengths, as_triples, assert_order_rule, is_cubic
 
 
 def w(text, alphabet="abc"):
     return word_from_text(text, alphabet)
 
 
-ENGINES = {"python": runs_module._runs_python, "arrays": runs_module._runs_arrays}
+ENGINES = {"python": runs_module._runs_python, "arrays": lambda data: runs_module._runs_arrays(data)[0]}
 
 
 def engine_runs(engine, word):
     """The runs of ``word`` from one engine, whatever its length."""
-    (starts, ends, periods), _ = ENGINES[engine](word.data)
+    starts, ends, periods = ENGINES[engine](word.data)
     return RunSet(starts + 1, ends + 1, periods)
 
 
@@ -381,8 +381,8 @@ LONG_DESCENTS = [b"a" + b"b" * 5000, b"b" * 5000 + b"a", b"a" * 5000]
 
 
 class TestLyndonLengths:
-    """The Python engine's Lyndon arrays against the definition: the distance to
-    the next suffix smaller as bytes (the end of the word ranks lowest) or, over
+    """The pointer-jumping oracle against the definition: the distance to the
+    next suffix smaller as bytes (the end of the word ranks lowest) or, over
     the reversed ranks, to the next greater one; the end of the word if none."""
 
     @staticmethod
@@ -394,7 +394,7 @@ class TestLyndonLengths:
             for i in range(n):
                 later = np.flatnonzero(beyond(isa[i + 1 :], isa[i]))
                 expected.append(int(later[0]) + 1 if later.size else n - i)
-            assert runs_module._lyndon_lengths(rank.tolist()) == expected, data[:40]
+            assert _lyndon_lengths(rank.tolist()) == expected, data[:40]
             assert_order_rule(data, expected, order)
 
     def test_every_binary_word_up_to_10(self):
@@ -404,6 +404,36 @@ class TestLyndonLengths:
     @pytest.mark.parametrize("data", LONG_DESCENTS, ids=["a-b5000", "b5000-a", "a5000"])
     def test_long_descents(self, data):
         self.check(data)
+
+
+class TestLyndonPass:
+    """The Python engine's suffix-comparison pass against the pointer-jumping
+    oracle over sorted-suffix ranks, n - 1 - rank for order 1."""
+
+    @staticmethod
+    def check(data):
+        n = len(data)
+        isa = runs_module._suffix_ranks_small(data)
+        suf = [data[i:] for i in range(n)]
+        for order, rank in enumerate((isa, [n - 1 - r for r in isa])):
+            nxt = runs_module._lyndon_pass(data, suf, order, [])
+            lam = [j - i for i, j in enumerate(nxt)]
+            assert lam == _lyndon_lengths(rank), (order, data[:40])
+            assert_order_rule(data, lam, order)
+
+    def test_every_binary_word_up_to_12(self):
+        for data in binary_words(12):
+            self.check(data)
+
+    def test_seeded_words(self):
+        # 1 to 4 letters in turn (unary words among them), ending in a random,
+        # the least or the greatest letter in turn, up to the engine switch.
+        rng = random.Random(25)
+        for k in range(200):
+            alphabet = b"abcd"[: 1 + k % 4]
+            n = SMALL_ENGINE_LIMIT - 1 if k < 6 else rng.randint(1, SMALL_ENGINE_LIMIT - 1)
+            tail = (b"", alphabet[:1], alphabet[-1:])[k % 3]
+            self.check(bytes(rng.choices(alphabet, k=n - len(tail))) + tail)
 
 
 class TestNextSmaller:
@@ -416,7 +446,7 @@ class TestNextSmaller:
         for order, rank in enumerate((isa, (n - 1) - isa)):
             got = runs_module._next_smaller(rank)
             assert got.dtype == np.int32
-            assert got.tolist() == list(runs_module._lyndon_lengths(rank.tolist())), data[:40]
+            assert got.tolist() == _lyndon_lengths(rank.tolist()), data[:40]
             assert_order_rule(data, got, order)
 
     def test_every_binary_word_up_to_12(self):
@@ -448,27 +478,33 @@ class TestNextSmaller:
         self.check(run_rich_word(index).data)
 
     def test_arrays_engine_takes_no_stack_pass(self, monkeypatch):
-        """The arrays engine never calls the Python engine's pointer-jumping pass."""
+        """The arrays engine never calls the Python engine."""
 
-        def forbidden(rank):
-            raise AssertionError("the arrays engine called _lyndon_lengths")
+        def forbidden(data):
+            raise AssertionError("the arrays engine called _runs_python")
 
         word = run_rich_word(5)
         assert len(word) >= SMALL_ENGINE_LIMIT
         expected = find_runs(word)
-        monkeypatch.setattr(runs_module, "_lyndon_lengths", forbidden)
+        monkeypatch.setattr(runs_module, "_runs_python", forbidden)
         assert find_runs(word) == expected
-        with pytest.raises(AssertionError, match="_lyndon_lengths"):
-            engine_runs("python", word)  # the patch is in force
+        with pytest.raises(AssertionError, match="_runs_python"):
+            find_runs(run_rich_word(3))  # the patch is in force
 
 
 class TestInverseSuffixArray:
-    """The ranks each engine hands to the handle suite, against sorted suffixes."""
+    """The ranks ``_runs_and_ranks`` hands to the handle suite with each engine,
+    against sorted suffixes."""
 
-    def check(self, word, engine):
-        _, isa = ENGINES[engine](word.data)
+    @staticmethod
+    def check(word, engine):
+        # Force the engine through the length switch that picks it.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(runs_module, "SMALL_ENGINE_LIMIT", len(word) + 1 if engine == "python" else 0)
+            runs, isa = runs_module._runs_and_ranks(word)
         assert isinstance(isa, list) == (engine == "python")
         assert np.asarray(isa).tolist() == sorted_suffix_ranks(word.data), word.text[:40]
+        assert runs == engine_runs(engine, word)
 
     @pytest.mark.parametrize("engine", ["python", "arrays"])
     def test_seeded_words(self, engine):
@@ -481,6 +517,20 @@ class TestInverseSuffixArray:
     @pytest.mark.parametrize("index", [3, 4])
     def test_family_members(self, index, engine):
         self.check(run_rich_word(index), engine)
+
+    def test_find_runs_sorts_no_suffixes(self, monkeypatch):
+        """Only the handle suite's ranks sort the suffixes of a short word."""
+
+        def forbidden(data):
+            raise AssertionError("find_runs called _suffix_ranks_small")
+
+        word = run_rich_word(3)
+        assert len(word) < SMALL_ENGINE_LIMIT
+        expected = find_runs(word)
+        monkeypatch.setattr(runs_module, "_suffix_ranks_small", forbidden)
+        assert find_runs(word) == expected
+        with pytest.raises(AssertionError, match="_suffix_ranks_small"):
+            runs_module._runs_and_ranks(word)  # the patch is in force
 
 
 class TestDuplicateCheck:
@@ -669,6 +719,17 @@ class TestStats:
     @given(st.integers(1, 4).flatmap(lambda k: st.text(alphabet="abcd"[:k], max_size=1500)))
     def test_random_words(self, text):
         self.check_against_exponents(w(text, "abcd"))
+
+    @pytest.mark.parametrize("index", range(1, 8))
+    def test_family_members_against_exponents(self, index):
+        self.check_against_exponents(run_rich_word(index))
+
+    def test_two_hundred_periods(self):
+        # (a^k b)^2 for k = 1..200 has a run of period k + 1 for every k: the
+        # common denominator of the sums is the lcm of about 200 periods.
+        word = w("".join(("a" * k + "b") * 2 for k in range(1, 201)), "ab")
+        assert len(set(find_runs(word).periods.tolist())) >= 200
+        self.check_against_exponents(word)
 
     def test_empty_runset(self):
         stats = run_stats(w("abc"), RunSet.from_runs([]))
