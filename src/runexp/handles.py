@@ -12,11 +12,10 @@ bounds, and the case dichotomy.
 The suite starts from each run's Lyndon roots lo and hi, the 0-based starts
 of the two rotations in its first period. Suffixes starting there keep more
 than p letters of the run and rotations of a primitive block differ within p
-letters, so lo and hi are the argmin and argmax of the inverse suffix array
-over the first period. For a word the arrays engine enumerates, that inverse
-suffix array is the one its enumeration built; a short word, whose Python
-engine sorts no suffixes, is ranked by ``_suffix_ranks_small``. Either way
-each verified word is suffix-sorted once. By Fine-Wilf
+letters, so lo and hi start the least and the greatest suffix starting in the
+first period. The enumeration's own Lyndon arrays give both (``_lyndon_roots``),
+so no suffix is sorted beyond what the enumeration sorts, and a short word,
+which the Python engine enumerates, is not sorted at all. By Fine-Wilf
 the rotations recur in the run only every p letters: H(v) is x + m*p, m >= 1,
 for x in {lo, hi}, while inside the run.
 """
@@ -133,14 +132,35 @@ def handles_of_run(w: Word, v: Run) -> HandleSet:
     return HandleSet(owner=v, positions=tuple(sorted(slots)), case="b")
 
 
-def _lyndon_roots(isa: np.ndarray, a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """0-based starts of the least and greatest suffixes starting in each [a, a+p)."""
-    sa = np.empty_like(isa)
-    sa[isa] = np.arange(isa.size, dtype=isa.dtype)
-    # One reduction over each [a, a+p), the stretches between them dropped: the
-    # work is about the sum of the periods (15.5 n on member 9).
-    bounds = np.stack([a, a + p], axis=1).ravel()
-    return tuple(sa[extreme.reduceat(isa, bounds)[::2]] for extreme in (np.minimum, np.maximum))
+def _lyndon_roots(nxt, a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based starts of the least and greatest suffixes starting in each [a, a+p), read off
+    the Lyndon arrays ``nxt`` = [nxt0, nxt1] of :func:`runs._enumerate`.
+
+    In order l, nxt[y] is the next position after y whose suffix is l-smaller, or n. Let m
+    start the l-least suffix in W = [a, a+p). For y < m in W, nxt[y] <= m < a+p, as m is
+    later and smaller; nxt[m] >= a+p, as no later y in W is smaller; for y > m in W,
+    nxt[y] <= nxt[m], as the suffix at nxt[m], if any, is smaller than m's, so than y's, and
+    later. So m is the leftmost maximum of nxt over W: lo in order 0, hi in order 1. The
+    maximum over W of the key nxt * (n + 1) + (n - y), below (n + 1)^2, is m's, and m is
+    n - key mod (n + 1). It is taken ``_BLOCK`` runs at a time: the bounds and the maxima
+    of all runs at once, 16 bytes per run each, would raise ``verify``'s peak. Each block
+    reduces the keys only up to its last window end, as the last bound's reduction runs to
+    the end of what it is given.
+    """
+    n = len(nxt[0])
+    roots = []
+    for order in nxt:
+        key = np.array(order, dtype=np.int64)  # also for an empty list
+        key *= n + 1
+        key += np.arange(n, 0, -1)
+        root = np.empty(a.size, dtype=np.int32)
+        for k in range(0, a.size, _runs._BLOCK):
+            start = a[k : k + _runs._BLOCK]
+            end = start + p[k : k + _runs._BLOCK]  # below n: a run is at least 2p long
+            best = np.maximum.reduceat(key[: end.max() + 1], np.stack([start, end], axis=1).ravel())
+            root[k : k + _runs._BLOCK] = n - best[::2] % (n + 1)
+        roots.append(root)
+    return tuple(roots)
 
 
 def verify_handle_properties(w: Word) -> HandleReport:
@@ -148,15 +168,16 @@ def verify_handle_properties(w: Word) -> HandleReport:
 
     ``w`` is enumerated once: its runs are validated against the
     definition first (raising on a bad run), and the same enumeration's
-    ranks give every handle. Verdicts are collected, not raised:
+    Lyndon arrays give every handle. Verdicts are collected, not raised:
     disjointness of all handle sets, case (a) exactly for period-1 runs,
     the per-run size bounds, and A + B <= n - 1.
     """
-    runs, isa = _runs._runs_and_ranks(w)
+    runs, nxt = _runs._enumerate(w.data)
     validate_runs(w, runs)
     n = len(w)
     a, e, p = runs.starts - 1, runs.ends, runs.periods
-    lo, hi = _lyndon_roots(np.asarray(isa, dtype=np.int32), a, p)
+    lo, hi = _lyndon_roots(nxt, a, p)
+    del nxt
     case_a, unary = lo == hi, p == 1
     # Root x gets the slots x + m*p, m >= 1, with x + m*p + p <= e; case (a) has one root.
     counts = np.concatenate([(e - lo) // p - 1, np.where(case_a, 0, (e - hi) // p - 1)])

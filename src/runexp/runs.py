@@ -321,8 +321,8 @@ def _next_smaller(rank: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _sorted_runs(n: int, starts: np.ndarray, ends: np.ndarray, periods: np.ndarray):
-    """Sort 0-based run columns by (start, end) in place; raise if an interval repeats."""
+def _sorted_runs(n: int, starts: np.ndarray, ends: np.ndarray, periods: np.ndarray) -> RunSet:
+    """The RunSet of 1-based run columns sorted by (start, end) in place; raise if one repeats."""
     key = starts * (n + 1) + ends
     order = np.argsort(key)
     key = key[order]
@@ -330,12 +330,12 @@ def _sorted_runs(n: int, starts: np.ndarray, ends: np.ndarray, periods: np.ndarr
         raise RuntimeError("internal error: one interval reported twice")
     for col in (starts, ends, periods):
         col[:] = col[order]
-    return starts, ends, periods
+    return RunSet(starts, ends, periods)
 
 
 def _runs_arrays(data: bytes):
-    """All runs of ``data`` as sorted 0-based (start, end, period) columns, and the
-    inverse suffix array.
+    """All runs of ``data``, and both Lyndon arrays as next positions: entry i of
+    order l's int32 array is the next position whose suffix is l-smaller (n if none).
 
     Each block of ``_BLOCK`` positions takes both Lyndon arrays in one pass, to bound
     the memory of the extension queries. A root a of length p, q = a + p, is kept if:
@@ -358,35 +358,23 @@ def _runs_arrays(data: bytes):
         e = q + _lce(levels, a, q)
         l_ext = _lce(levels, a, q, left=True)
         keep = (l_ext < p) & (l_ext + e - a >= 2 * p)
-        cols.append((a[keep] - l_ext[keep], e[keep] - 1, p[keep]))
-    # A copy, not a view: a view would keep the last level's buffer alive on the heap.
-    isa = isa.copy()
-    del levels, lams, codes  # the largest arrays of the call: free them before the sort
-    # The RunSet keeps these columns, sorted and made 1-based in place: made first
-    # in the freed memory, they leave the rest of it in one piece for what follows.
-    return _sorted_runs(n, *(np.concatenate(c, dtype=np.int64) for c in zip(*cols))), isa
+        cols.append((a[keep] - l_ext[keep] + 1, e[keep], p[keep]))
+    del levels, codes, isa  # the largest arrays of the call: free them before the sort
+    for lam in lams:
+        lam += np.arange(n, dtype=np.int32)
+    # The RunSet keeps these columns, sorted in place: made first in the freed
+    # memory, they leave the rest of it in one piece for what follows.
+    return _sorted_runs(n, *(np.concatenate(c, dtype=np.int64) for c in zip(*cols))), lams
 
 
 # ---------------------------------------------------------------------------
 # plain-Python path for short words
 # ---------------------------------------------------------------------------
 
-def _suffix_ranks_small(data: bytes) -> list[int]:
-    """The inverse suffix array of a short word (end of word lowest), by sorting its
-    suffixes as bytes: the ranks the handle suite takes for a word the Python engine
-    enumerates, which sorts no suffixes."""
-    n = len(data)
-    order = sorted(range(n), key=lambda i: data[i:])
-    isa = [0] * n
-    for r, i in enumerate(order):
-        isa[i] = r
-    return isa
-
-
 def _lyndon_pass(data: bytes, suf: list[bytes], order: int, found: list) -> list[int]:
     """One order's Lyndon array of ``data``, from its suffixes ``suf`` compared as
     bytes, as next positions nxt (nxt[i] - i is the length at i); each run found is
-    appended to ``found`` as 0-based (start, end, period).
+    appended to ``found`` as 1-based (start, end, period).
 
     Order 0 is bytes order (a suffix below its extensions): nxt[i] is the next
     smaller suffix. Order 1 reverses every comparison: nxt[i] is the next greater
@@ -422,23 +410,22 @@ def _lyndon_pass(data: bytes, suf: list[bytes], order: int, found: list) -> list
         while q + r < n and data[i + r] == data[q + r]:
             r += 1
         if l + r >= p:
-            found.append((i - l, q + r - 1, p))
+            found.append((i - l + 1, q + r, p))
     return nxt
 
 
 def _runs_python(data: bytes):
-    """All runs of ``data`` as sorted 0-based (start, end, period) columns, by the
+    """All runs of ``data``, and both Lyndon arrays as next positions (lists), by the
     arrays engine's rule with no suffix array: each order takes one
     :func:`_lyndon_pass` over the word's suffixes as bytes objects, n(n + 1)/2
     bytes in all (about 320 KB below ``SMALL_ENGINE_LIMIT``)."""
     n = len(data)
     suf = [data[i:] for i in range(n)]
     found: list[tuple[int, int, int]] = []
-    for order in (0, 1):
-        _lyndon_pass(data, suf, order, found)
+    nxt = [_lyndon_pass(data, suf, order, found) for order in (0, 1)]
     cols = np.array(found, dtype=np.int64).reshape(len(found), 3).T
     # Arrays of their own, as the RunSet keeps them: views would keep the table too.
-    return _sorted_runs(n, *map(np.ascontiguousarray, cols))
+    return _sorted_runs(n, *map(np.ascontiguousarray, cols)), nxt
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +441,11 @@ def find_runs(w: Word) -> RunSet:
     return _enumerate(w.data)[0]
 
 
-def _runs_and_ranks(w: Word):
-    """:func:`find_runs`, and the inverse suffix array (end of word lowest): the
-    arrays engine's own, an int32 array, or for a word the Python engine takes,
-    a list from :func:`_suffix_ranks_small`."""
-    runs, isa = _enumerate(w.data)
-    return runs, _suffix_ranks_small(w.data) if isa is None else isa
-
-
 def _enumerate(data: bytes):
-    """The RunSet of ``data`` from the engine its length picks, and the inverse
-    suffix array the arrays engine built (None from the Python engine)."""
-    if len(data) < SMALL_ENGINE_LIMIT:
-        (starts, ends, periods), isa = _runs_python(data), None
-    else:
-        (starts, ends, periods), isa = _runs_arrays(data)
-    starts += 1
-    ends += 1
-    return RunSet(starts, ends, periods), isa
+    """The RunSet of ``data`` from the engine its length picks, and its Lyndon arrays as next
+    positions, [nxt0, nxt1]: nxt_l[i] is the next position whose suffix is smaller in order l
+    (order 0 as the inverse suffix array ranks suffixes, order 1 the reverse), or n."""
+    return (_runs_python if len(data) < SMALL_ENGINE_LIMIT else _runs_arrays)(data)
 
 
 def find_runs_bruteforce(w: Word) -> RunSet:

@@ -1,5 +1,5 @@
-"""Helpers that only the tests use: views of runs, the engines' order rule, the
-pointer-jumping Lyndon array over ranks and a patched enumeration."""
+"""Helpers that only the tests use: views of runs, the engines' order rule, sorted
+suffixes, the pointer-jumping Lyndon array over ranks and a patched enumeration."""
 
 import numpy as np
 
@@ -43,6 +43,14 @@ def assert_order_rule(data, lam, order):
     if not ok.all():
         k = int(np.argmin(ok))
         raise AssertionError(f"order {order}: position {a[k]}, lam {p[k]}, mismatch at {e[k]}: {data[:40]!r}")
+
+
+def sorted_suffix_ranks(data):
+    """The rank of each suffix among all suffixes compared as bytes."""
+    isa = [0] * len(data)
+    for r, i in enumerate(sorted(range(len(data)), key=lambda i: data[i:])):
+        isa[i] = r
+    return isa
 
 
 def _lyndon_lengths(rank) -> list[int]:

@@ -398,24 +398,24 @@ class TestVerify:
         assert report["oracle"]["checked"] is False
         assert report["pass"] is True
 
-    @pytest.mark.parametrize("word, sort", [
-        ("family:5", "_prefix_doubling"),  # 6,647 letters: the arrays engine
-        ("aabaabaa", "_suffix_ranks_small"),  # the Python engine
+    @pytest.mark.parametrize("word, sorts", [
+        ("family:5", 1),  # 6,647 letters: the arrays engine
+        ("aabaabaa", 0),  # the Python engine
     ])
-    def test_one_suffix_sort_per_word(self, capsys, monkeypatch, word, sort):
-        # The handle suite takes its roots from the enumeration's own ranks.
+    def test_one_suffix_sort_per_word(self, capsys, monkeypatch, word, sorts):
+        # The handle suite takes its roots from the enumeration's own Lyndon arrays.
         calls = []
-        original = getattr(runs_module, sort)
+        original = runs_module._prefix_doubling
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(runs_module, sort, counted)
+        monkeypatch.setattr(runs_module, "_prefix_doubling", counted)
         code, out, _ = run_cli(capsys, "verify", word)
         assert code == 0
         assert json.loads(out)["pass"] is True
-        assert len(calls) == 1
+        assert len(calls) == sorts
 
     def test_a_failed_bound_fails_verify(self, capsys, monkeypatch):
         monkeypatch.setitem(PUBLISHED_BOUNDS, "rho_le_runs_bound_n", (Fraction("0.1"), "rho"))
@@ -524,8 +524,8 @@ class TestCertify:
         bad = Run(1, 238, 1)
 
         def with_bad_run(data):
-            runs, isa = real(data)
-            return RunSet.from_runs([*runs, bad]), isa
+            runs, nxt = real(data)
+            return RunSet.from_runs([*runs, bad]), nxt
 
         monkeypatch.setattr(runs_module, "_enumerate", with_bad_run)
         code, out, err = run_cli(capsys, "certify-lower-bound", "--index", "2", "--power", "2")

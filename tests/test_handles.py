@@ -14,7 +14,7 @@ from runexp.periods import rotation_extremes
 from runexp.runs import Run, RunSet, find_runs, validate_run, validate_runs
 from runexp.words import word_from_text
 
-from oracles import enumerate_as
+from oracles import enumerate_as, sorted_suffix_ranks
 
 
 def w(text, alphabet="abc"):
@@ -23,9 +23,20 @@ def w(text, alphabet="abc"):
 
 def lyndon_roots(word):
     """The runs of ``word`` and the 0-based Lyndon roots lo, hi the batch suite starts from."""
-    runs, isa = runs_module._runs_and_ranks(word)
-    lo, hi = handles._lyndon_roots(np.asarray(isa, dtype=np.int32), runs.starts - 1, runs.periods)
+    runs, nxt = runs_module._enumerate(word.data)
+    lo, hi = handles._lyndon_roots(nxt, runs.starts - 1, runs.periods)
     return runs, lo.tolist(), hi.tolist()
+
+
+def ranked_roots(rank, runs):
+    """0-based argmin and argmax of ``rank`` over each run's first period."""
+    rank = np.asarray(rank)
+    lo, hi = [], []
+    for a, p in zip((runs.starts - 1).tolist(), runs.periods.tolist()):
+        window = rank[a : a + p]
+        lo.append(a + int(window.argmin()))
+        hi.append(a + int(window.argmax()))
+    return lo, hi
 
 
 def assert_slots_match_batch(word):
@@ -184,6 +195,45 @@ class TestPropertySuite:
                 assert ceil_e <= size / 2 + 3
                 assert size >= 2 * (floor_e - 2)
                 assert floor_e <= e < floor_e + 1
+
+
+class TestLyndonRoots:
+    """The roots read off the Lyndon arrays are the least and greatest suffixes
+    starting in each run's first period."""
+
+    @staticmethod
+    def check(word, rank=None):
+        runs, lo, hi = lyndon_roots(word)
+        rank = sorted_suffix_ranks(word.data) if rank is None else rank
+        assert (lo, hi) == ranked_roots(rank, runs), word.text[:40]
+
+    def test_every_binary_word_up_to_12(self):
+        for length in range(1, 13):
+            for bits in itertools.product("ab", repeat=length):
+                self.check(w("".join(bits), "ab"))
+
+    @pytest.mark.parametrize("engine", ["python", "arrays"])
+    def test_seeded_words(self, engine):
+        # 1 to 4 letters in turn, up to 1,200 letters: both sides of the engine switch.
+        rng = random.Random(26)
+        for k in range(60):
+            text = "".join(rng.choices("abcd"[: 1 + k % 4], k=rng.randint(1, 1200)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(runs_module, "SMALL_ENGINE_LIMIT", len(text) + 1 if engine == "python" else 0)
+                self.check(w(text, "abcd"))
+
+    @pytest.mark.parametrize("index", range(1, 8))
+    def test_family_members(self, index):
+        # Member 7 has 88,425 runs: the reduction crosses a block of runs. Members 6
+        # and 7 are too long for one bytes object per suffix: their ranks are the
+        # doubling's last level, which tests/test_runs.py checks against sorted suffixes.
+        word = run_rich_word(index)
+        self.check(word, list(runs_module._prefix_doubling(word.data))[-1][: len(word)] if index > 5 else None)
+
+    @pytest.mark.parametrize("text", ["", "a", "b"])
+    def test_empty_and_one_letter_words(self, text):
+        runs, lo, hi = lyndon_roots(w(text))
+        assert len(runs) == 0 and lo == hi == []
 
 
 class TestBatchMatchesPerRun:

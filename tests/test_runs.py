@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from runexp import runs as runs_module
 from runexp.families import run_rich_word
+from runexp.handles import verify_handle_properties
 from runexp.runs import (
     BRUTE_FORCE_CAP,
     SMALL_ENGINE_LIMIT,
@@ -27,20 +28,19 @@ from runexp.runs import (
 )
 from runexp.words import word_from_text
 
-from oracles import _lyndon_lengths, as_triples, assert_order_rule, is_cubic
+from oracles import _lyndon_lengths, as_triples, assert_order_rule, is_cubic, sorted_suffix_ranks
 
 
 def w(text, alphabet="abc"):
     return word_from_text(text, alphabet)
 
 
-ENGINES = {"python": runs_module._runs_python, "arrays": lambda data: runs_module._runs_arrays(data)[0]}
+ENGINES = {"python": runs_module._runs_python, "arrays": runs_module._runs_arrays}
 
 
 def engine_runs(engine, word):
     """The runs of ``word`` from one engine, whatever its length."""
-    starts, ends, periods = ENGINES[engine](word.data)
-    return RunSet(starts + 1, ends + 1, periods)
+    return ENGINES[engine](word.data)[0]
 
 
 class TestExamples:
@@ -128,8 +128,8 @@ class TestEngineAgreement:
     @given(st.text(alphabet="ab", min_size=SMALL_ENGINE_LIMIT, max_size=SMALL_ENGINE_LIMIT + 140))
     def test_arrays_path_is_the_default_above_the_cutoff(self, text):
         word = w(text, "ab")
-        runs, isa = runs_module._runs_and_ranks(word)
-        assert isinstance(isa, np.ndarray)  # the arrays engine's ranks
+        runs, nxt = runs_module._enumerate(word.data)
+        assert all(isinstance(order, np.ndarray) for order in nxt)  # the arrays engine's Lyndon arrays
         assert as_triples(runs) == as_triples(find_runs_bruteforce(word))
 
 
@@ -369,14 +369,6 @@ def binary_words(max_length):
             yield bytes(bits)
 
 
-def sorted_suffix_ranks(data):
-    """The rank of each suffix among all suffixes compared as bytes."""
-    isa = [0] * len(data)
-    for r, i in enumerate(sorted(range(len(data)), key=lambda i: data[i:])):
-        isa[i] = r
-    return isa
-
-
 LONG_DESCENTS = [b"a" + b"b" * 5000, b"b" * 5000 + b"a", b"a" * 5000]
 
 
@@ -413,7 +405,7 @@ class TestLyndonPass:
     @staticmethod
     def check(data):
         n = len(data)
-        isa = runs_module._suffix_ranks_small(data)
+        isa = sorted_suffix_ranks(data)
         suf = [data[i:] for i in range(n)]
         for order, rank in enumerate((isa, [n - 1 - r for r in isa])):
             nxt = runs_module._lyndon_pass(data, suf, order, [])
@@ -493,17 +485,23 @@ class TestNextSmaller:
 
 
 class TestInverseSuffixArray:
-    """The ranks ``_runs_and_ranks`` hands to the handle suite with each engine,
-    against sorted suffixes."""
+    """The Lyndon arrays ``_enumerate`` hands to the handle suite with each engine,
+    against the inverse suffix array: the index plus the pointer-jumping lengths over
+    sorted-suffix ranks (order 0) and over n - 1 - rank (order 1)."""
 
     @staticmethod
     def check(word, engine):
         # Force the engine through the length switch that picks it.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(runs_module, "SMALL_ENGINE_LIMIT", len(word) + 1 if engine == "python" else 0)
-            runs, isa = runs_module._runs_and_ranks(word)
-        assert isinstance(isa, list) == (engine == "python")
-        assert np.asarray(isa).tolist() == sorted_suffix_ranks(word.data), word.text[:40]
+            runs, nxt = runs_module._enumerate(word.data)
+        n = len(word)
+        isa = sorted_suffix_ranks(word.data)
+        assert len(nxt) == 2
+        for order, rank in enumerate((isa, [n - 1 - r for r in isa])):
+            assert isinstance(nxt[order], list) == (engine == "python")
+            expected = [i + lam for i, lam in enumerate(_lyndon_lengths(rank))]
+            assert np.asarray(nxt[order]).tolist() == expected, (order, word.text[:40])
         assert runs == engine_runs(engine, word)
 
     @pytest.mark.parametrize("engine", ["python", "arrays"])
@@ -514,23 +512,32 @@ class TestInverseSuffixArray:
             self.check(w("".join(rng.choices(alphabet, k=length)), "abcd"), engine)
 
     @pytest.mark.parametrize("engine", ["python", "arrays"])
+    def test_one_letter_word(self, engine):
+        self.check(w("a"), engine)
+
+    def test_empty_word(self):
+        runs, nxt = runs_module._enumerate(b"")
+        assert len(runs) == 0 and nxt == [[], []]
+
+    @pytest.mark.parametrize("engine", ["python", "arrays"])
     @pytest.mark.parametrize("index", [3, 4])
     def test_family_members(self, index, engine):
         self.check(run_rich_word(index), engine)
 
     def test_find_runs_sorts_no_suffixes(self, monkeypatch):
-        """Only the handle suite's ranks sort the suffixes of a short word."""
+        """Neither ``find_runs`` nor the handle suite builds a suffix array for a
+        short word: its roots come from the Python engine's Lyndon arrays."""
 
         def forbidden(data):
-            raise AssertionError("find_runs called _suffix_ranks_small")
+            raise AssertionError("a short word's suffixes were sorted")
 
         word = run_rich_word(3)
         assert len(word) < SMALL_ENGINE_LIMIT
-        expected = find_runs(word)
-        monkeypatch.setattr(runs_module, "_suffix_ranks_small", forbidden)
-        assert find_runs(word) == expected
-        with pytest.raises(AssertionError, match="_suffix_ranks_small"):
-            runs_module._runs_and_ranks(word)  # the patch is in force
+        expected = find_runs(word), verify_handle_properties(word)
+        monkeypatch.setattr(runs_module, "_prefix_doubling", forbidden)
+        assert (find_runs(word), verify_handle_properties(word)) == expected
+        with pytest.raises(AssertionError, match="sorted"):
+            find_runs(run_rich_word(5))  # the patch is in force
 
 
 class TestDuplicateCheck:
