@@ -62,10 +62,15 @@ __all__ = [
 # 3 letters from about 1,200, 4 from about 1,400, unary words from about
 # 2,300; Python 3.11, numpy 2.4, 2-core host). The limit stays at 800: the
 # tests that check the arrays engine against the definition just above it
-# would grow with it.
+# would grow with it. It also picks how ``validate_runs`` tests shortest
+# periods: one bytes search per run below it, numpy windows from it. On the
+# same words the numpy test is faster from about 1,200 letters (binary from
+# about 1,000, 4 letters from about 1,300; never up to 4,000 on unary words,
+# which have one run); its fixed cost is about 85 us per call.
 SMALL_ENGINE_LIMIT = 800
 
-# Positions per step of the arrays engine's extension queries.
+# Positions per step of the arrays engine's extension queries, and of the
+# comparisons of ``validate_runs``, which takes this many runs at a time.
 _BLOCK = 1 << 16
 _KEY_BITS = 63  # bits of a non-negative int64, for a sort digit packed above a position
 
@@ -474,13 +479,103 @@ def find_runs_bruteforce(w: Word) -> RunSet:
     return RunSet.from_runs((b + 1, e + 1, p) for b, e, p in found)
 
 
+def _agrees(codes: np.ndarray, x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Whether codes[x:y] equals codes[x + d : y + d], entry by entry; every x < y.
+
+    Only the covered positions are gathered, one ``np.repeat`` of the starts plus an
+    ``arange``, at most ``_BLOCK`` of them per step (an entry longer than that takes a
+    step alone); one ``np.logical_or.reduceat`` reduces each entry's mismatches.
+    """
+    size = y - x
+    ends = np.cumsum(size)
+    same = np.empty(size.size, dtype=bool)
+    lo = 0
+    while lo < size.size:
+        hi = max(int(np.searchsorted(ends, ends[lo] - size[lo] + _BLOCK, side="right")), lo + 1)
+        s = size[lo:hi]
+        off = ends[lo:hi] - s
+        off -= off[0]
+        pos = np.repeat(x[lo:hi] - off, s)
+        pos += np.arange(pos.size)
+        diff = codes[pos]
+        pos += np.repeat(d[lo:hi], s)
+        diff = diff != codes[pos]
+        np.logical_not(np.logical_or.reduceat(diff, off), out=same[lo:hi])
+        lo = hi
+    return same
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The distinct prime factors of ``m`` >= 1, by trial division."""
+    found = []
+    r = 2
+    while r * r <= m:
+        if m % r == 0:
+            found.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    return found + [m] if m > 1 else found
+
+
+def _shortest(codes: np.ndarray, a: np.ndarray, e: np.ndarray, p: np.ndarray, divisors: dict) -> np.ndarray:
+    """Whether p is the shortest period of codes[a:e], run by run, for runs with 2p <= e - a;
+    ``divisors`` caches p -> [p/r for each prime r of p] across calls."""
+    ok = p >= 1
+    run = np.flatnonzero(ok)
+    ok[run] = _agrees(codes, a[run], e[run] - p[run], p[run])
+    run = np.flatnonzero(ok & (p > 1))
+    periods = np.sort(p[run])  # the distinct periods: np.unique took 10x as long on a block
+    periods = periods[np.flatnonzero(np.diff(periods, prepend=0))]
+    rows = []
+    for q in periods.tolist():
+        if q not in divisors:
+            divisors[q] = [q // r for r in _prime_factors(q)]
+        rows.append(divisors[q])
+    # Column k holds p/r for each prime r of the k-th period present, then zeros.
+    table = np.zeros((max(map(len, rows), default=0), len(rows)), dtype=np.int64)
+    for k, ds in enumerate(rows):
+        table[: len(ds), k] = ds
+    d = np.take(table, np.searchsorted(periods, p[run]), axis=1).ravel()
+    run = np.tile(run, len(table))[d > 0]  # one (run, d) pair per prime of the run's period
+    d = d[d > 0]
+    x, lim = a[run], p[run] - d
+    # The first mismatch of the root with its shift by d, in windows [0, 1), [1, 3), [3, 7), ...
+    hi = np.ones_like(d)
+    same = codes[x] == codes[x + d]  # the first window: one letter
+    while True:
+        ok[run[same & (hi == lim)]] = False  # all p - d letters agree: the root is a power
+        go = same & (hi < lim)
+        run, x, d, lim, lo = run[go], x[go], d[go], lim[go], hi[go]
+        if not run.size:
+            return ok
+        hi = np.minimum(lim, 2 * lo + 1)
+        same = _agrees(codes, x + lo, x + hi, d)
+
+
 def validate_runs(w: Word, runs: RunSet) -> None:
     """Re-check the four run invariants of every run against ``w``; raise on failure.
 
-    As 2p <= length, p is shortest iff the first length - p letters first
-    recur at offset p: with period p, a match at s < p gives a prefix of
-    s + p letters or more with periods s and p, so period gcd(s, p) | p
-    (Fine-Wilf). The first run found breaking an invariant is named.
+    Shortest period. A factor f of length L >= 2p with period p has shortest period p
+    iff its root u = f[:p] is primitive, iff no p/r, r a prime factor of p, is a period
+    of u. If u = v^k with k >= 2, any prime r | k gives p/r, a multiple of |v|, as a
+    period of u. If a period s < p of f exists, then as s + p <= L, g = gcd(s, p) is
+    a period of f (Fine and Wilf, 1965), so u = (f[:g])^(p/g) with p/g >= 2. And if
+    d | p is a period of u, f has period d too, as u repeats with period p.
+
+    Words shorter than ``SMALL_ENGINE_LIMIT`` letters test this with one bytes search
+    per run: p is shortest iff the first L - p letters first recur at offset p (a match
+    at s < p would be a period s). Longer words test it with no Python loop over runs,
+    ``_BLOCK`` runs at a time, each comparison through :func:`_agrees`: first that
+    p is a period, over [a, e - p) at shift p; then, for each pair of a run and d = p/r,
+    the first mismatch of the root with its shift by d, in windows of 1, 2, 4, ...
+    letters from the root's start. A pair leaves at its first window with a mismatch,
+    so d is not a period of the root; a pair whose windows reach p - d letters with no
+    mismatch has d as a period of the root. The windows tile [0, p - d) in order, so
+    the search is exact, and a pair costs about twice the letters up to its first
+    mismatch. Each step gathers at most ``_BLOCK`` positions, or one longer run.
+
+    The first run found breaking an invariant is named.
     """
     data, n = w.data, len(w)
     codes = np.frombuffer(data, dtype=np.uint8)
@@ -494,11 +589,17 @@ def validate_runs(w: Word, runs: RunSet) -> None:
     require((a >= 0) & (a < e) & (e <= n),
             lambda i, j, p: f"run interval [{i}..{j}] out of range for n={n}")
     require(2 * p <= e - a, lambda i, j, p: f"run [{i}..{j}] with p={p} violates 2p <= length")
-    # The columns are read one int at a time through memoryviews: as lists
-    # (``tolist``) they would be the largest allocation of the handle suite.
-    rows = zip(memoryview(a), memoryview(e), memoryview(p))
-    shortest = np.array([d >= 1 and data.find(data[x : y - d], x + 1, y) == x + d for x, y, d in rows],
-                        dtype=bool)
+    if n < SMALL_ENGINE_LIMIT:
+        # The columns are read one int at a time through memoryviews.
+        rows = zip(memoryview(a), memoryview(e), memoryview(p))
+        shortest = np.array([d >= 1 and data.find(data[x : y - d], x + 1, y) == x + d for x, y, d in rows],
+                            dtype=bool)
+    else:
+        shortest = np.empty(a.size, dtype=bool)
+        divisors: dict[int, list[int]] = {}
+        for k in range(0, a.size, _BLOCK):
+            block = slice(k, k + _BLOCK)
+            shortest[block] = _shortest(codes, a[block], e[block], p[block], divisors)
     require(shortest, lambda i, j, p: f"run [{i}..{j}] claims period {p} but the factor "
             f"has period {_periods.shortest_period(w.factor(i, j))}")
     require((a == 0) | (codes[a - 1] != codes[a + p - 1]),

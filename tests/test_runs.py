@@ -596,6 +596,29 @@ class TestAboveOracleCap:
             tracemalloc.stop()
         assert peak <= 12_801_875
 
+    def test_validation_peak_below_enumeration(self, member):
+        # A relative bound: the numpy shortest-period test takes _BLOCK runs at a time
+        # and gathers at most _BLOCK positions per step.
+        word, runs = member
+        peaks = []
+        for call in (find_runs, lambda word: validate_runs(word, runs)):
+            tracemalloc.start()
+            try:
+                call(word)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0], peaks
+
+    def test_validation_paths_agree_on_mutants(self, member):
+        # 1.49M compared positions in 23 steps of the numpy path, then the roots' windows.
+        word, runs = member
+        rng = random.Random(7)
+        for k in rng.sample(range(len(runs)), 3):
+            for case in mutants(runs, k):
+                message = validation_error(word, case, "numpy")
+                assert message is not None and message == validation_error(word, case, "loop"), (runs[k], message)
+
     def test_iteration_peak_traced_memory(self, member):
         # Runs are made one at a time: copying the columns to lists peaked at 7.8 MB.
         _, runs = member
@@ -684,6 +707,109 @@ class TestRunSetInvariants:
     def test_validate_rejects_bad_interval(self):
         with pytest.raises(ValueError, match="range"):
             validate_run(w("abab"), Run(1, 9, 2))
+
+
+def validation_error(word, runs, path):
+    """The message ``validate_runs`` raises on ``runs`` (None if it accepts them), with the
+    shortest-period test forced through the word-length switch: one bytes search per run
+    ("loop") or the numpy windows ("numpy")."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runs_module, "SMALL_ENGINE_LIMIT", len(word) + 1 if path == "loop" else 0)
+        try:
+            validate_runs(word, runs)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def changed_run(runs, k, changed):
+    """``runs`` with run k replaced by the triple ``changed``, in its place in the columns."""
+    cols = [c.copy() for c in (runs.starts, runs.ends, runs.periods)]
+    for col, value in zip(cols, changed):
+        col[k] = value
+    return RunSet(*cols)
+
+
+def mutants(runs, k):
+    """``runs`` with run k changed: end - 1, end + 1, start + 1, period x2, + 1 and - 1."""
+    i, j, p = runs[k]
+    for changed in ((i, j - 1, p), (i, j + 1, p), (i + 1, j, p), (i, j, 2 * p), (i, j, p + 1), (i, j, p - 1)):
+        yield changed_run(runs, k, changed)
+
+
+class TestValidationPaths:
+    """The two shortest-period tests of ``validate_runs`` give the same verdict and name
+    the same run: one bytes search per run below ``SMALL_ENGINE_LIMIT`` letters, the
+    numpy period check and prime-divisor windows from it."""
+
+    def test_seeded_words_and_mutants(self):
+        rng = random.Random(27)
+        checked = 0
+        for _ in range(1000):
+            alphabet = "abcd"[: rng.randint(1, 4)]
+            word = w("".join(rng.choices(alphabet, k=rng.randint(1, 300))), "abcd")
+            runs = find_runs(word)
+            cases = [runs] + (list(mutants(runs, rng.randrange(len(runs)))) if len(runs) else [])
+            for case in cases:
+                assert validation_error(word, case, "numpy") == validation_error(word, case, "loop"), (
+                    word.text, as_triples(case))
+                checked += 1
+        assert checked > 6000
+
+    @pytest.mark.parametrize("p", [0, -1, -7])
+    def test_period_below_one(self, p):
+        # Such rows pass 2p <= length; the first run whose period is not shortest is named.
+        word = w("aabaabaabb")
+        runs = find_runs(word)
+        assert len(runs) == 5
+        for k in range(len(runs)):
+            rows = as_triples(runs)
+            rows[k] = (*rows[k][:2], p)
+            case = RunSet.from_runs(rows)
+            message = validation_error(word, case, "numpy")
+            i, j, _ = rows[k]
+            assert message == validation_error(word, case, "loop")
+            assert message.startswith(f"run [{i}..{j}] claims period {p} but")
+
+    @pytest.mark.parametrize("text, run, shortest", [
+        ("a" * 12, (1, 12, 6), 1),
+        ("abababab", (1, 8, 4), 2),
+        ("ab" * 6, (1, 12, 6), 2),  # only the prime 3 of 6 finds the root's period 2
+    ])
+    def test_non_primitive_root(self, text, run, shortest):
+        word = w(text)
+        case = RunSet.from_runs([run])
+        message = validation_error(word, case, "numpy")
+        assert message == validation_error(word, case, "loop")
+        assert message == f"run [{run[0]}..{run[1]}] claims period {run[2]} but the factor has period {shortest}"
+
+    def test_numpy_path_accepts_exactly_the_definition(self):
+        # Every (i, j, p) with 2p <= length on binary words of up to 7 letters.
+        checked = 0
+        for length in range(1, 8):
+            for letters in itertools.product("ab", repeat=length):
+                word = w("".join(letters), "ab")
+                runs = set(find_runs_bruteforce(word))
+                for i, j in itertools.combinations_with_replacement(range(1, length + 1), 2):
+                    for p in range(1, (j - i + 1) // 2 + 1):
+                        error = validation_error(word, RunSet.from_runs([(i, j, p)]), "numpy")
+                        assert (error is None) == ((i, j, p) in runs), (word.text, i, j, p, error)
+                        checked += 1
+        assert checked == 6_316
+
+    def test_crafted_runs(self):
+        # ((a^1247 b a)^2 c) repeated to 30,000 letters: runs (a^1247 b a)^2, whose root first
+        # differs from its shift by one after 1,246 letters; the numpy path searches them in
+        # windows, not alignments.
+        word = w(((("a" * 1247 + "ba") * 2 + "c") * 13)[:30_000])
+        runs = find_runs(word)
+        assert validation_error(word, runs, "numpy") is None
+        k = max(range(len(runs)), key=lambda k: (runs[k].length >= 4 * runs[k].p, runs[k].p))
+        i, j, p = runs[k]
+        case = changed_run(runs, k, (i, j, 2 * p))
+        message = validation_error(word, case, "numpy")
+        assert message == validation_error(word, case, "loop")
+        assert message.startswith(f"run [{i}..{j}] claims period {2 * p} but")
 
 
 class TestStats:
